@@ -33,7 +33,6 @@ from .amazon import (
 )
 from .core import Evidence, certainty, expected_quality
 from .errors import ConvergenceError, FeedbackFormatError
-from .numerics import Tolerance
 from .simulation import (
     Damping,
     ExperimentConfig,
@@ -235,8 +234,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format for tabular data (default csv)")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="absolute tolerance for numeric routines (default 1e-9)")
     common.add_argument("--out", metavar="FILE", default=None,
                         help="write output to FILE instead of stdout")
 
@@ -318,7 +315,7 @@ def _split_profiles(text: str) -> List:
 
 
 def _cmd_certainty(args) -> int:
-    value = certainty(Evidence(args.r, args.s), Tolerance(abs_tol=args.tol))
+    value = certainty(Evidence(args.r, args.s))
     _emit(f"{value:.10g}\n", args.out)
     return EXIT_OK
 
@@ -347,7 +344,7 @@ def _cmd_update(args) -> int:
                           "'simulate --experiment history --mode TrustInHistory'")
     cfg = UpdateConfig(method=args.method, beta=args.beta)
     updated = update_referrer(cfg, args.observed.build(), args.report.build(),
-                              args.prior.build(), Tolerance(abs_tol=args.tol))
+                              args.prior.build())
     _emit(json.dumps(updated.to_dict()) + "\n", args.out)
     return EXIT_OK
 
@@ -385,6 +382,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        raise _UsageError(f"--seeds must be at least 1, got {args.seeds}")
     profiles = _split_profiles(args.profiles)
     header = ["profile", "method", "beta", "error"]
     rows = []
@@ -458,7 +457,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

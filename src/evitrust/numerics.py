@@ -27,13 +27,12 @@ __all__ = [
     "log_beta",
     "regularized_incomplete_beta",
     "integrate",
-    "find_unit_crossings",
 ]
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute error bound plus a subdivision budget for iterative routines."""
+    """Absolute error bound plus a subdivision budget for :func:`integrate`."""
 
     abs_tol: float = 1e-9
     max_subdivisions: int = 30
@@ -63,8 +62,13 @@ def log_beta(a: float, b: float) -> float:
 
     exp(log_beta(r+1, s+1)) is the normalizer ∫₀¹ xʳ(1−x)ˢ dx of the
     evidence density; for integer r, s it reduces to r!·s!/(r+s+1)!.
+    Raises ValueError unless a and b are positive and finite.
     """
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    # math.lgamma directly, behind one check: certainty calls this on every
+    # evaluation.
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"log_beta requires positive finite arguments, got a={a}, b={b}")
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
@@ -144,47 +148,3 @@ def integrate(
             best_estimate=result,
         )
     return result
-
-
-def _bisect_root(g: Callable[[float], float], lo: float, hi: float, abs_tol: float) -> float:
-    """Bisection for a sign change of g on [lo, hi]; assumes g(lo), g(hi) straddle 0."""
-    glo = g(lo)
-    for _ in range(200):
-        if hi - lo <= abs_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        gmid = g(mid)
-        if gmid == 0.0:
-            return mid
-        if (glo < 0.0) == (gmid < 0.0):
-            lo, glo = mid, gmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def find_unit_crossings(
-    log_density: Callable[[float], float],
-    peak_location: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> Tuple[float, ...]:
-    """Locate where a unimodal density on [0, 1] crosses the value 1.
-
-    ``log_density`` must be unimodal with its maximum at ``peak_location``;
-    the roots of log_density(x) = 0 are found by bisection on
-    [0, peak_location] and [peak_location, 1].  Returns zero, one, or two
-    roots in increasing order.  A density that never exceeds 1 (the uniform
-    case) yields no roots.
-    """
-    if not (0.0 <= peak_location <= 1.0):
-        raise ValueError(f"peak_location must be in [0, 1], got {peak_location}")
-
-    if log_density(peak_location) <= 0.0:
-        return ()
-
-    roots = []
-    if peak_location > 0.0 and log_density(0.0) < 0.0:
-        roots.append(_bisect_root(log_density, 0.0, peak_location, tol.abs_tol))
-    if peak_location < 1.0 and log_density(1.0) < 0.0:
-        roots.append(_bisect_root(log_density, peak_location, 1.0, tol.abs_tol))
-    return tuple(roots)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Belief, Evidence, from_belief, to_belief
-from .numerics import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = ["ReferralPath", "concatenate", "aggregate", "combine_referrals"]
 
@@ -50,10 +49,7 @@ def aggregate(e1: Evidence, e2: Evidence) -> Evidence:
     return Evidence(e1.r + e2.r, e1.s + e2.s)
 
 
-def combine_referrals(
-    paths: Iterable[ReferralPath],
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> Evidence:
+def combine_referrals(paths: Iterable[ReferralPath]) -> Evidence:
     """Combine independent referral paths into one evidence estimate.
 
     Each report is discounted by the client's trust in its referrer
@@ -66,6 +62,6 @@ def combine_referrals(
         raise ValueError("combine_referrals requires at least one referral path")
     combined = Evidence(0.0, 0.0)
     for path in paths:
-        discounted = concatenate(path.referrer_trust, to_belief(path.report, tol))
-        combined = aggregate(combined, from_belief(discounted, tol))
+        discounted = concatenate(path.referrer_trust, to_belief(path.report))
+        combined = aggregate(combined, from_belief(discounted))
     return combined

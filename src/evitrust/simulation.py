@@ -142,10 +142,12 @@ def behavior_value(
 
     ``prev``/``prev2`` supply X_{t-1} and X_{t-2} for the walk and momentum
     variants, whose results are clamped to [0, 1] (X_t is a probability).
-    Stochastic profiles draw from ``rng``.
+    Stochastic profiles draw from ``rng``, which they require.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if rng is None and isinstance(profile, (Probability, Random, RandomWalk, Momentum)):
+        raise ValueError(f"{type(profile).__name__} is stochastic; behavior_value needs an rng")
     if isinstance(profile, Probability):
         return 1.0 if rng.random() < profile.p else 0.0
     if isinstance(profile, Periodic):

@@ -284,7 +284,6 @@ def update_referrer(
     observed: Evidence,
     report: Evidence,
     prior: Evidence,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Evidence:
     """One trust update of a report's source from an observation.
 
@@ -304,7 +303,7 @@ def update_referrer(
     alpha = expected_quality(observed)
     if method is UpdateMethod.LINEAR_WS:
         q = accuracy_linear(alpha, expected_quality(report))
-        c_prime = certainty(report, tol)
+        c_prime = certainty(report)
     elif method is UpdateMethod.JOSANG:
         alpha_shift = (observed.r + 1.0) / (observed.total + 2.0)
         alpha_prime_shift = (report.r + 1.0) / (report.total + 2.0)
@@ -312,13 +311,13 @@ def update_referrer(
         c_prime = report.total / (report.total + 2.0)
     elif method is UpdateMethod.MAX_CERTAINTY:
         q = accuracy_max_certainty(observed, expected_quality(report))
-        c_prime = certainty(report, tol)
+        c_prime = certainty(report)
     elif method is UpdateMethod.SENSITIVITY:
         q = accuracy_sensitivity(alpha, report)
-        c_prime = certainty(report, tol)
+        c_prime = certainty(report)
     elif method is UpdateMethod.AVERAGE_BETA:
         q = accuracy_average(alpha, report)
-        c_prime = certainty(observed, tol) * certainty(report, tol)
+        c_prime = certainty(observed) * certainty(report)
     else:
         raise ValueError(
             f"{method.value} is a history method; use history_update for provider trust"
@@ -329,7 +328,6 @@ def update_referrer(
 def history_update(
     state: HistoryState,
     observed: Evidence,
-    tol: Tolerance = DEFAULT_TOLERANCE,
     accuracy_on_negative_side: bool = False,
 ) -> HistoryUpdate:
     """Self-tuning history update for a provider.
@@ -356,8 +354,8 @@ def history_update(
         return HistoryUpdate(state.carried, state, discount)
 
     alpha = expected_quality(observed)
-    c = certainty(observed, tol)
-    c_hist = certainty(state.carried, tol)
+    c = certainty(observed)
+    c_hist = certainty(state.carried)
     q = accuracy_average(alpha, state.carried)
 
     weight = c * c_hist

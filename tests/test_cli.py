@@ -197,6 +197,22 @@ class TestExitCodes:
         assert code == 1
         assert "COMMAND" in err
 
+    def test_tol_flag_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "certainty", "1", "2", "--tol", "1e-6")
+        assert code == 1
+        assert "--tol" in err
+
+    def test_zero_seeds_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "sweep", "--profiles", "periodic",
+                           "--beta-grid", "0:1:0.5", "--seeds", "0")
+        assert code == 1
+        assert "--seeds" in err
+
+    def test_unwritable_out_is_data_error(self, capsys):
+        code, _, err = run(capsys, "certainty", "1", "2", "--out", "/nonexistent/dir/x.csv")
+        assert code == 2
+        assert "/nonexistent/dir/x.csv" in err
+
     def test_convergence_maps_to_three(self, capsys, monkeypatch):
         import evitrust.cli as cli_mod
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import certainty_by_quadrature
 from evitrust.core import (
+    MAX_EVIDENCE_TOTAL,
     Belief,
     Evidence,
     certainty,
@@ -153,6 +154,59 @@ class TestCertainty:
             assert closed == pytest.approx(direct, abs=1e-6)
 
 
+def _log_uniform_pairs(seed, count):
+    """Evidence pairs with r and s log-uniform on [1e-6, 1e6]."""
+    rng = np.random.default_rng(seed)
+    return [tuple(10.0 ** rng.uniform(-6.0, 6.0, size=2)) for _ in range(count)]
+
+
+def _one_sided(n):
+    """Closed-form certainty of ⟨n, 0⟩: f = (n+1)xⁿ crosses 1 at
+    x = (n+1)^(−1/n), and c = x − xⁿ⁺¹ there."""
+    x = math.exp(-math.log1p(n) / n)
+    return x * n / (n + 1.0)
+
+
+class TestCertaintyAcrossDomain:
+    """Agreement with the quadrature oracle over the supported domain,
+    totals 1e-6..1e6, including near-one-sided evidence whose right crossing
+    lies far closer to 1 than a float can resolve in x."""
+
+    def test_matches_oracle_on_log_uniform_evidence(self):
+        for r, s in _log_uniform_pairs(20261018, 300):
+            assert certainty(Evidence(r, s)) == pytest.approx(
+                certainty_by_quadrature(r, s, abs_tol=1e-10), abs=1e-8
+            ), (r, s)
+
+    @pytest.mark.parametrize("r,s", [
+        (8608.0, 0.0138),    # right crossing at 1 − 1e-289
+        (1.1e-4, 1.95e5),
+        (6.7e5, 6.5e-4),
+        (2.0, 5e-324),       # subnormal count: s/n rounds to 0
+    ])
+    def test_near_one_sided_matches_oracle(self, r, s):
+        want = certainty_by_quadrature(r, s, abs_tol=1e-10)
+        assert certainty(Evidence(r, s)) == pytest.approx(want, abs=1e-8)
+        assert certainty(Evidence(s, r)) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1e-6, 0.37, 1.0, 45.0, 8608.0, 1e6])
+    def test_one_sided_matches_closed_form_and_oracle(self, n):
+        want = _one_sided(n)
+        assert certainty(Evidence(n, 0.0)) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert certainty(Evidence(0.0, n)) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert certainty(Evidence(n, 0.0)) == pytest.approx(
+            certainty_by_quadrature(n, 0.0, abs_tol=1e-10), abs=1e-8
+        )
+
+    def test_round_trip_through_belief(self):
+        for r, s in _log_uniform_pairs(7, 200) + [(8608.0, 0.0138), (0.0, 5.0), (1e6, 0.0)]:
+            scale = min(1.0, MAX_EVIDENCE_TOTAL / (r + s))
+            e = Evidence(r * scale, s * scale)
+            back = from_belief(to_belief(e))
+            assert back.r == pytest.approx(e.r, rel=1e-8), (r, s)
+            assert back.s == pytest.approx(e.s, rel=1e-8), (r, s)
+
+
 class TestBeliefConversion:
     def test_no_evidence_maps_to_vacuous(self):
         assert to_belief(Evidence(0, 0)) == Belief(0.0, 0.0, 1.0)
@@ -194,3 +248,7 @@ class TestBeliefConversion:
     def test_unreachable_certainty_raises(self):
         with pytest.raises(ConvergenceError):
             from_belief(Belief(0.9 * (1 - 1e-10), 0.1 * (1 - 1e-10), 1e-10))
+
+    def test_dogmatic_belief_error_names_belief_and_alpha(self):
+        with pytest.raises(ConvergenceError, match=r"b=0\.5, d=0\.5, u=0\.0.*alpha=0\.5"):
+            from_belief(Belief(0.5, 0.5, 0.0))

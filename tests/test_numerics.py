@@ -7,7 +7,6 @@ from evitrust.errors import ConvergenceError
 from evitrust.numerics import (
     DEFAULT_TOLERANCE,
     Tolerance,
-    find_unit_crossings,
     integrate,
     log_beta,
     log_gamma,
@@ -157,36 +156,6 @@ class TestIntegrate:
         # x^0.151 has unbounded derivative at 0; must still converge.
         got = integrate(lambda x: x**0.151, 0.0, 1.0, DEFAULT_TOLERANCE)
         assert got == pytest.approx(1.0 / 1.151, abs=1e-8)
-
-
-class TestFindUnitCrossings:
-    def test_uniform_density_has_no_crossings(self):
-        assert find_unit_crossings(lambda x: 0.0, 0.5) == ()
-
-    def test_linear_density_single_crossing(self):
-        # density 2x: log crosses 0 at x = 0.5, peak at 1
-        log_density = lambda x: math.log(2.0 * x) if x > 0 else -math.inf
-        roots = find_unit_crossings(log_density, 1.0)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(0.5, abs=1e-8)
-
-    def test_symmetric_bump_two_roots(self):
-        # density of evidence <5, 5>: two roots mirrored around 0.5
-        from evitrust.core import _log_pcdf
-
-        roots = find_unit_crossings(lambda x: _log_pcdf(5.0, 5.0, x), 0.5)
-        assert len(roots) == 2
-        x1, x2 = roots
-        assert x1 < 0.5 < x2
-        assert x1 + x2 == pytest.approx(1.0, abs=1e-7)
-        assert _log_pcdf(5.0, 5.0, x1) == pytest.approx(0.0, abs=1e-6)
-
-    def test_roots_sorted_and_bracketed(self):
-        from evitrust.core import _log_pcdf
-
-        roots = find_unit_crossings(lambda x: _log_pcdf(8.0, 2.0, x), 0.8)
-        assert list(roots) == sorted(roots)
-        assert all(0.0 <= x <= 1.0 for x in roots)
 
 
 class TestTolerance:

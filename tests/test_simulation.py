@@ -54,6 +54,10 @@ class TestBehaviorValue:
         assert all(behavior_value(Probability(1.0), t, rng=rng()) == 1.0 for t in range(5))
         assert all(behavior_value(Probability(0.0), t, rng=rng()) == 0.0 for t in range(5))
 
+    def test_stochastic_profile_without_rng_is_value_error(self):
+        with pytest.raises(ValueError, match="rng"):
+            behavior_value(Probability(0.9), 1)
+
     def test_random_walk_zero_gamma_is_constant(self):
         g = rng(1)
         for prev in (0.0, 0.3, 1.0):
