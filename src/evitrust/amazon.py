@@ -11,6 +11,11 @@ under one of three schemes:
 * TrustInHistory: threads the evidence stream through the self-tuning
   history update and predicts with the carried evidence's expected quality.
 
+Every predictor is a fold with O(1) state: a running (discounted) sum and
+weight for the two means, the history state for TrustInHistory.  The
+experiment therefore scores each seller in one O(n) pass, advancing all
+predictors together.
+
 Prediction errors are reported on the normalized scale (multiply by 4 for
 the 1-to-5 scale).
 """
@@ -85,10 +90,14 @@ def normalize_rating(rating: int) -> float:
     return (rating - 1) / 4.0
 
 
+def _feedback_evidence(v: float) -> Evidence:
+    """A normalized feedback as ten transactions at that value: ⟨10v, 10(1−v)⟩."""
+    return Evidence(10.0 * v, 10.0 * (1.0 - v))
+
+
 def rating_to_evidence(rating: int) -> Evidence:
     """A rating as ten transactions at its normalized value: ⟨10v, 10(1−v)⟩."""
-    v = normalize_rating(rating)
-    return Evidence(10.0 * v, 10.0 * (1.0 - v))
+    return _feedback_evidence(normalize_rating(rating))
 
 
 def parse_feedback_csv(text: str) -> List[FeedbackRecord]:
@@ -149,6 +158,46 @@ def load_feedback_csv(path: str) -> List[FeedbackRecord]:
     return parse_feedback_csv(text)
 
 
+class _MeanPredictor:
+    """Discounted running mean Σ λ^age·v / Σ λ^age in O(1) state.
+
+    λ = 1 is the plain running mean; λ = 0 keeps only the newest value.
+    """
+
+    def __init__(self, mode: AmazonMode, lam: float):
+        self.mode, self.lam = mode, lam
+        self.num = self.den = 0.0
+
+    def observe(self, v: float) -> None:
+        self.num = self.lam * self.num + v
+        self.den = self.lam * self.den + 1.0
+
+    def predict(self) -> float:
+        if self.den == 0.0:
+            raise ValueError(f"{self.mode.value} prediction requires a non-empty history")
+        return self.num / self.den
+
+
+class _HistoryPredictor:
+    """The self-tuning history fold; predicts the carried expected quality."""
+
+    def __init__(self, state: HistoryState):
+        self.state = state
+
+    def observe(self, v: float) -> None:
+        self.state = history_update(self.state, _feedback_evidence(v)).state
+
+    def predict(self) -> float:
+        return expected_quality(self.state.carried)
+
+
+def _predictor(config: AmazonConfig, state: Optional[HistoryState] = None):
+    mode = AmazonMode(config.mode)
+    if mode is AmazonMode.TRUST_IN_HISTORY:
+        return _HistoryPredictor(HistoryState() if state is None else state)
+    return _MeanPredictor(mode, 1.0 if mode is AmazonMode.UNWEIGHTED else config.lambda_)
+
+
 def predict_feedback(
     history: Sequence[float],
     config: AmazonConfig,
@@ -160,29 +209,14 @@ def predict_feedback(
     Σ vᵢ·λ^(ageᵢ) / Σ λ^(ageᵢ) where the most recent feedback has age 0.
     TrustInHistory replays the history through the self-tuning update (each
     feedback as ⟨10v, 10(1−v)⟩ evidence), or continues from ``state`` if
-    given, and predicts the carried evidence's expected quality.
+    given, and predicts the carried evidence's expected quality.  The mean
+    modes raise ValueError on an empty history.
     """
-    mode = AmazonMode(config.mode)
-    if mode is AmazonMode.TRUST_IN_HISTORY:
-        if state is None:
-            state = HistoryState()
-            for v in history:
-                ev = Evidence(10.0 * v, 10.0 * (1.0 - v))
-                state = history_update(state, ev).state
-        return expected_quality(state.carried)
-
-    values = list(history)
-    if not values:
-        raise ValueError(f"{mode.value} prediction requires a non-empty history")
-    if mode is AmazonMode.UNWEIGHTED:
-        return sum(values) / len(values)
-    lam = config.lambda_
-    weights = [lam ** (len(values) - 1 - i) for i in range(len(values))]
-    wsum = sum(weights)
-    if wsum == 0.0:
-        # lambda = 0 keeps only the newest feedback.
-        return values[-1]
-    return sum(v * w for v, w in zip(values, weights)) / wsum
+    predictor = _predictor(config, state)
+    if state is None or not isinstance(predictor, _HistoryPredictor):
+        for v in history:
+            predictor.observe(v)
+    return predictor.predict()
 
 
 @dataclass(frozen=True)
@@ -205,41 +239,35 @@ def run_amazon_experiment(
 ) -> List[SellerModeError]:
     """Predict every feedback from its predecessors, per seller and config.
 
-    The first feedback of a seller has no predecessors and is skipped for
-    all predictors.  Sellers with fewer than two feedbacks cannot be scored
-    and are skipped entirely.  Returns one row per (seller, config), sellers
-    in first-appearance order.
+    Each seller takes one O(n) pass: every config keeps a streaming
+    predictor with O(1) state, predicts the next feedback, adds the gap to
+    its running total and then observes the feedback.  The first feedback
+    of a seller has no predecessors and is skipped for all predictors.
+    Sellers with fewer than two feedbacks cannot be scored and are skipped
+    entirely.  Returns one row per (seller, config), sellers in
+    first-appearance order.
     """
     by_seller: Dict[str, List[FeedbackRecord]] = {}
-    order: List[str] = []
     for rec in records:
-        if rec.seller_id not in by_seller:
-            by_seller[rec.seller_id] = []
-            order.append(rec.seller_id)
-        by_seller[rec.seller_id].append(rec)
+        by_seller.setdefault(rec.seller_id, []).append(rec)
 
     results: List[SellerModeError] = []
-    for seller in order:
-        feedback = by_seller[seller]
+    for seller, feedback in by_seller.items():
         if len(feedback) < 2:
             continue
         values = [normalize_rating(rec.rating) for rec in feedback]
-        for config in configs:
+        predictors = [_predictor(config) for config in configs]
+        totals = [0.0] * len(predictors)
+        for p in predictors:
+            p.observe(values[0])
+        for actual in values[1:]:
+            for k, p in enumerate(predictors):
+                totals[k] += abs(p.predict() - actual)
+                p.observe(actual)
+        for config, total in zip(configs, totals):
             mode = AmazonMode(config.mode)
-            gaps: List[float] = []
-            state = HistoryState()
-            for i, actual in enumerate(values):
-                if i > 0:
-                    if mode is AmazonMode.TRUST_IN_HISTORY:
-                        pred = predict_feedback(values[:i], config, state=state)
-                    else:
-                        pred = predict_feedback(values[:i], config)
-                    gaps.append(abs(pred - actual))
-                if mode is AmazonMode.TRUST_IN_HISTORY:
-                    ev = Evidence(10.0 * actual, 10.0 * (1.0 - actual))
-                    state = history_update(state, ev).state
             lam = config.lambda_ if mode is AmazonMode.GEOMETRIC else None
-            results.append(SellerModeError(seller, mode, lam, sum(gaps) / len(gaps)))
+            results.append(SellerModeError(seller, mode, lam, total / (len(values) - 1)))
     return results
 
 

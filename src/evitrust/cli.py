@@ -46,6 +46,7 @@ from .simulation import (
     RandomWalk,
     Rumor,
     Truthful,
+    _fmt,
     prediction_error,
     records_to_csv,
     records_to_json,
@@ -116,6 +117,16 @@ def _parse_evidence(text: str) -> _EvidencePair:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected two numbers 'r,s', got {text!r}")
     return _EvidencePair(r, s)
+
+
+def _parse_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -197,10 +208,6 @@ def _parse_history_mode(text: str) -> HistoryMode:
     return _HISTORY_MODES[key]
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -268,8 +275,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", type=_parse_history_mode, default=HistoryMode.TRUST_IN_HISTORY,
                    help="history experiment mode: Amazon | FixedBeta | TrustInHistory")
     p.add_argument("--beta", type=float, default=0.2)
-    p.add_argument("--timesteps", type=int, default=100)
-    p.add_argument("--tx", type=int, default=50, help="transactions per step (default 50)")
+    p.add_argument("--timesteps", type=_parse_count, default=100)
+    p.add_argument("--tx", type=_parse_count, default=50, help="transactions per step (default 50)")
     p.add_argument("--switch", type=int, default=50,
                    help="corruption step for the combine experiment (default 50)")
 
@@ -282,9 +289,10 @@ def _build_parser() -> _Parser:
                    help="update method for referrer sweeps")
     p.add_argument("--mode", type=_parse_history_mode, default=HistoryMode.FIXED_BETA,
                    help="history mode for history sweeps (default FixedBeta)")
-    p.add_argument("--seeds", type=int, default=5, help="seeds averaged per grid point (default 5)")
-    p.add_argument("--timesteps", type=int, default=100)
-    p.add_argument("--tx", type=int, default=50)
+    p.add_argument("--seeds", type=_parse_count, default=5,
+                   help="seeds averaged per grid point (default 5)")
+    p.add_argument("--timesteps", type=_parse_count, default=100)
+    p.add_argument("--tx", type=_parse_count, default=50)
 
     p = sub.add_parser("amazon", parents=[common], help="feedback-prediction error table")
     p.add_argument("--input", default=None, metavar="FILE",
@@ -382,8 +390,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.seeds < 1:
-        raise _UsageError(f"--seeds must be at least 1, got {args.seeds}")
     profiles = _split_profiles(args.profiles)
     header = ["profile", "method", "beta", "error"]
     rows = []

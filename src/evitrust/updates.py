@@ -47,7 +47,6 @@ from .numerics import DEFAULT_TOLERANCE, Tolerance, integrate
 
 __all__ = [
     "UpdateMethod",
-    "AccuracyMethod",
     "UpdateConfig",
     "HistoryState",
     "HistoryUpdate",
@@ -71,15 +70,6 @@ class UpdateMethod(str, enum.Enum):
     SENSITIVITY = "Sensitivity"
     AVERAGE_BETA = "AverageBeta"
     AVERAGE_ALPHA = "AverageAlpha"
-
-
-class AccuracyMethod(str, enum.Enum):
-    """The four accuracy measures underlying the update methods."""
-
-    LINEAR = "Linear"
-    MAX_CERTAINTY = "MaxCertainty"
-    SENSITIVITY = "Sensitivity"
-    AVERAGE = "Average"
 
 
 @dataclass(frozen=True)
@@ -325,11 +315,7 @@ def update_referrer(
     return general_update(q, 1.0 - q, config.beta, c_prime, prior)
 
 
-def history_update(
-    state: HistoryState,
-    observed: Evidence,
-    accuracy_on_negative_side: bool = False,
-) -> HistoryUpdate:
+def history_update(state: HistoryState, observed: Evidence) -> HistoryUpdate:
     """Self-tuning history update for a provider.
 
     The carried history plays the role of a report from a ghost referrer.
@@ -344,10 +330,6 @@ def history_update(
 
     With no observation (total 0) the state is returned unchanged: an empty
     observation has certainty 0 and cannot move anything.
-
-    ``accuracy_on_negative_side`` swaps which side of the history trust the
-    accuracy mass lands on (so consistency would *lower* the discount); it
-    exists only for comparison runs and is not the production behavior.
     """
     discount = expected_quality(state.history_trust)
     if observed.total <= 0:
@@ -359,10 +341,9 @@ def history_update(
     q = accuracy_average(alpha, state.carried)
 
     weight = c * c_hist
-    pos, neg = (1.0 - q, q) if accuracy_on_negative_side else (q, 1.0 - q)
     trust = Evidence(
-        state.history_trust.r + weight * pos,
-        state.history_trust.s + weight * neg,
+        state.history_trust.r + weight * q,
+        state.history_trust.s + weight * (1.0 - q),
     )
     discount = expected_quality(trust)
     combined = Evidence(

@@ -1,5 +1,7 @@
 import pytest
 
+from evitrust.core import expected_quality
+from evitrust.updates import HistoryState, history_update
 from evitrust.amazon import (
     AmazonConfig,
     AmazonMode,
@@ -166,6 +168,95 @@ class TestRunAmazonExperiment:
         ]
         assert rows[0].lambda_ is None
         assert rows[1].lambda_ == 0.9
+
+
+def _replay_mean(history, config):
+    """Recompute a mean prediction from the whole history: O(n) per step."""
+    if config.mode is AmazonMode.UNWEIGHTED:
+        return sum(history) / len(history)
+    n = len(history)
+    weights = [config.lambda_ ** (n - 1 - i) for i in range(n)]  # 0.0 ** 0 == 1.0
+    return sum(v * w for v, w in zip(history, weights)) / sum(weights)
+
+
+def _replay_experiment(records, configs):
+    """The quadratic reference pipeline: every mean prediction is recomputed
+    from ``values[:i]``; TrustInHistory folds ``history_update`` directly."""
+    by_seller = {}
+    for rec in records:
+        by_seller.setdefault(rec.seller_id, []).append(rec.rating)
+    rows = []
+    for seller, ratings in by_seller.items():
+        values = [normalize_rating(r) for r in ratings]
+        for config in configs:
+            state = HistoryState()
+            total = 0.0  # summed left to right, as the experiment does
+            for i, rating in enumerate(ratings):
+                if i > 0:
+                    if config.mode is AmazonMode.TRUST_IN_HISTORY:
+                        pred = expected_quality(state.carried)
+                    else:
+                        pred = _replay_mean(values[:i], config)
+                    total += abs(pred - values[i])
+                if config.mode is AmazonMode.TRUST_IN_HISTORY:
+                    state = history_update(state, rating_to_evidence(rating)).state
+            rows.append((seller, config.mode, total / (len(values) - 1)))
+    return rows
+
+
+ORACLE_CONFIGS = (
+    [AmazonConfig(mode=AmazonMode.UNWEIGHTED)]
+    + [AmazonConfig(mode=AmazonMode.GEOMETRIC, lambda_=lam) for lam in (0.0, 0.05, 0.5, 0.95, 1.0)]
+    + [AmazonConfig(mode=AmazonMode.TRUST_IN_HISTORY)]
+)
+
+
+class TestStreamingMatchesReplay:
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_experiment_matches_replay_oracle(self, seed):
+        records = synthesize_feedback(3, 300, seed=seed)
+        got = run_amazon_experiment(records, ORACLE_CONFIGS)
+        want = _replay_experiment(records, ORACLE_CONFIGS)
+        assert [(r.seller_id, r.mode) for r in got] == [w[:2] for w in want]
+        for row, (_, mode, error) in zip(got, want):
+            if mode is AmazonMode.GEOMETRIC:
+                assert row.error == pytest.approx(error, rel=0, abs=1e-12)
+            else:
+                assert row.error == error
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=lambda c: f"{c.mode.value}-{c.lambda_}")
+    def test_predict_feedback_equals_experiment_prediction(self, config):
+        # A final rating of 1 (normalized 0) makes the last gap equal the
+        # prediction, so the experiment's prediction at step i is
+        # i·error(first i+1) − (i−1)·error(first i).
+        ratings = [r.rating for r in synthesize_feedback(1, 60, seed=4)]
+
+        def seller_error(rs):
+            records = [FeedbackRecord("s", t, r) for t, r in enumerate(rs, start=1)]
+            return run_amazon_experiment(records, [config])[0].error
+
+        for i in (1, 2, 7, 59):
+            history = ratings[:i]
+            pred = i * seller_error(history + [1])
+            if i > 1:
+                pred -= (i - 1) * seller_error(history)
+            values = [normalize_rating(r) for r in history]
+            assert predict_feedback(values, config) == pytest.approx(pred, rel=0, abs=1e-12)
+            if config.mode is not AmazonMode.TRUST_IN_HISTORY:
+                assert predict_feedback(values, config) == pytest.approx(
+                    _replay_mean(values, config), rel=0, abs=1e-12
+                )
+
+    def test_state_continuation_ignores_history(self):
+        config = AmazonConfig(mode=AmazonMode.TRUST_IN_HISTORY)
+        values = [normalize_rating(r) for r in (5, 4, 2, 5)]
+        state = HistoryState()
+        for v in values:
+            state = history_update(state, rating_to_evidence(1 + int(4 * v))).state
+        assert predict_feedback([0.0, 0.0, 0.0], config, state=state) == predict_feedback(
+            values, config
+        )
+        assert predict_feedback([], config, state=state) == expected_quality(state.carried)
 
 
 class TestSynthesizeFeedback:

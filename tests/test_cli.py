@@ -208,6 +208,18 @@ class TestExitCodes:
         assert code == 1
         assert "--seeds" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("flag", ["--timesteps", "--tx"])
+    def test_zero_count_is_usage_error_naming_the_flag(self, capsys, command, flag):
+        if command == "simulate":
+            argv = ["simulate", "--experiment", "history"]
+        else:
+            argv = ["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5"]
+        code, out, err = run(capsys, *argv, flag, "0")
+        assert code == 1
+        assert flag in err
+        assert out == ""
+
     def test_unwritable_out_is_data_error(self, capsys):
         code, _, err = run(capsys, "certainty", "1", "2", "--out", "/nonexistent/dir/x.csv")
         assert code == 2

@@ -8,6 +8,7 @@ from evitrust.core import Evidence, certainty, expected_quality
 from evitrust.numerics import Tolerance
 from evitrust.updates import (
     HistoryState,
+    HistoryUpdate,
     UpdateConfig,
     UpdateMethod,
     accuracy_average,
@@ -268,10 +269,26 @@ class TestHistoryUpdate:
         assert upd.state.carried == upd.combined
 
     def test_transposed_variant_swaps_sides(self):
+        def transposed_update(state, observed):
+            # history_update with the accuracy mass on the negative side of
+            # the history trust, kept here only as a comparison variant.
+            weight = certainty(observed) * certainty(state.carried)
+            q = accuracy_average(expected_quality(observed), state.carried)
+            trust = Evidence(
+                state.history_trust.r + weight * (1.0 - q),
+                state.history_trust.s + weight * q,
+            )
+            discount = expected_quality(trust)
+            combined = Evidence(
+                observed.r + discount * state.carried.r,
+                observed.s + discount * state.carried.s,
+            )
+            return HistoryUpdate(combined, HistoryState(combined, trust), discount)
+
         state = HistoryState(Evidence(45, 5), Evidence(0.9, 0.1))
         obs = Evidence(45, 5)
         normal = history_update(state, obs)
-        swapped = history_update(state, obs, accuracy_on_negative_side=True)
+        swapped = transposed_update(state, obs)
         dr_n = normal.state.history_trust.r - 0.9
         ds_n = normal.state.history_trust.s - 0.1
         dr_s = swapped.state.history_trust.r - 0.9
