@@ -47,6 +47,7 @@ from .simulation import (
     Rumor,
     Truthful,
     _fmt,
+    history_errors,
     prediction_error,
     records_to_csv,
     records_to_json,
@@ -130,6 +131,7 @@ def _parse_count(text: str) -> int:
 
 
 def _parse_grid(text: str) -> List[float]:
+    """Parse 'lo:hi:step' into a grid of rates, each in [0, 1]."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected 'lo:hi:step', got {text!r}")
@@ -139,6 +141,8 @@ def _parse_grid(text: str) -> List[float]:
         raise argparse.ArgumentTypeError(f"grid bounds must be numbers, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"need lo <= hi and step > 0, got {text!r}")
+    if lo < 0.0 or hi > 1.0:
+        raise argparse.ArgumentTypeError(f"grid values must be in [0, 1], got {text!r}")
     values = []
     k = 0
     while True:
@@ -282,7 +286,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", parents=[common], help="error vs. beta over a grid")
     p.add_argument("--experiment", choices=("referrer", "history"), default="history")
-    p.add_argument("--profiles", required=True,
+    p.add_argument("--profiles", required=True, type=_split_profiles,
                    help="comma-separated profile specs, e.g. probability:0.9,periodic")
     p.add_argument("--beta-grid", required=True, type=_parse_grid, metavar="LO:HI:STEP")
     p.add_argument("--method", type=_parse_update_method, default=UpdateMethod.AVERAGE_BETA,
@@ -369,6 +373,11 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def _require_behavior_profile(profile) -> None:
+    if isinstance(profile, (Truthful, Honest, Rumor, GoodThenCorrupted)):
+        raise _UsageError("history experiment needs a behavior profile, not a referrer profile")
+
+
 def _cmd_simulate(args) -> int:
     if args.experiment != "history" and args.method is UpdateMethod.AVERAGE_ALPHA:
         raise _UsageError("AverageAlpha applies to '--experiment history' "
@@ -378,11 +387,13 @@ def _cmd_simulate(args) -> int:
         profile = args.profile if args.profile is not None else Truthful()
         records = run_referrer_experiment(cfg, profile)
     elif args.experiment == "combine":
+        if not 0 <= args.switch < args.timesteps:
+            raise _UsageError(f"--switch must be in [0, {args.timesteps}) for "
+                              f"--timesteps {args.timesteps}, got {args.switch}")
         records = run_combination_experiment(cfg, switch_step=args.switch).records
     else:
         profile = args.profile if args.profile is not None else Probability()
-        if isinstance(profile, (Truthful, Honest, Rumor, GoodThenCorrupted)):
-            raise _UsageError("history experiment needs a behavior profile, not a referrer profile")
+        _require_behavior_profile(profile)
         records = run_history_experiment(cfg, profile, args.mode)
     text = records_to_json(records) if args.format == "json" else records_to_csv(records)
     _emit(text, args.out)
@@ -390,22 +401,28 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    profiles = _split_profiles(args.profiles)
+    seeds = [args.seed + k for k in range(args.seeds)]
+    if args.experiment == "history":
+        for profile in args.profiles:
+            _require_behavior_profile(profile)
     header = ["profile", "method", "beta", "error"]
     rows = []
-    for profile in profiles:
+    for profile in args.profiles:
         pname = type(profile).__name__
-        for beta in args.beta_grid:
-            errs = []
-            for k in range(args.seeds):
-                cfg = _experiment_config(args, seed=args.seed + k, beta=beta)
-                if args.experiment == "history":
-                    records = run_history_experiment(cfg, profile, args.mode)
-                    label = args.mode.value
-                else:
-                    records = run_referrer_experiment(cfg, profile)
-                    label = args.method.value
-                errs.append(prediction_error(records))
+        if args.experiment == "history":
+            # One draw per seed; each seed scores the whole grid.
+            per_seed = [history_errors(_experiment_config(args, seed=seed), profile,
+                                       args.mode, args.beta_grid) for seed in seeds]
+            per_beta = zip(*per_seed)
+            label = args.mode.value
+        else:
+            per_beta = [
+                [prediction_error(run_referrer_experiment(
+                    _experiment_config(args, seed=seed, beta=beta), profile)) for seed in seeds]
+                for beta in args.beta_grid
+            ]
+            label = args.method.value
+        for beta, errs in zip(args.beta_grid, per_beta):
             rows.append([pname, label, _fmt(beta), _fmt(sum(errs) / len(errs))])
     _emit(_table(header, rows, args.format), args.out)
     return EXIT_OK

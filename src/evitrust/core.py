@@ -140,9 +140,13 @@ class Belief:
 
 def expected_quality(e: Evidence) -> float:
     """Expected probability of a positive outcome: r/(r+s), or 0.5 with no evidence."""
-    if e.total == 0:
-        return 0.5
-    return e.r / e.total
+    return _quality(e.r, e.s)
+
+
+def _quality(r: float, s: float) -> float:
+    """:func:`expected_quality` of plain counts, for folds that skip Evidence."""
+    total = r + s
+    return 0.5 if total == 0 else r / total
 
 
 def _log_pcdf(r: float, s: float, x: float) -> float:

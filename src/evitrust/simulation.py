@@ -6,6 +6,11 @@ transactions, some prediction of the provider's quality is made before
 observing, and a trust state is updated afterwards.  Per-step results land in
 :class:`TimestepRecord` lists that serialize to CSV/JSON with a fixed schema.
 
+The draws of a history run depend on the seed, the profile, ``timesteps``
+and ``tx_per_step``, never on β or the mode.  :func:`history_errors` uses
+that (common random numbers): it draws once and folds a whole β grid over
+the same observations, building no records.
+
 Determinism contract: every random draw comes from numpy PCG64 generators
 derived from the experiment seed with a fixed spawn layout (one independent
 stream per role), so a (config, seed) pair reproduces byte-identical output
@@ -31,14 +36,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import Evidence, certainty, expected_quality, from_belief, to_belief
+from .core import Evidence, _quality, certainty, expected_quality, from_belief, to_belief
 from .propagation import ReferralPath, combine_referrals, concatenate
 from .updates import (
     HistoryState,
+    HistoryUpdate,
     UpdateConfig,
     UpdateMethod,
     history_update,
@@ -67,6 +73,7 @@ __all__ = [
     "sample_transactions",
     "make_report",
     "prediction_error",
+    "history_errors",
     "run_referrer_experiment",
     "run_combination_experiment",
     "run_history_experiment",
@@ -326,8 +333,12 @@ class TimestepRecord:
     alpha_pred: float
     alpha_obs: float
     trust_state: Evidence
-    certainty_pred: float
     discount: Optional[float] = None
+
+    @property
+    def certainty_pred(self) -> float:
+        """Certainty of the prediction, computed when read."""
+        return certainty(self.predicted)
 
 
 CSV_HEADER = (
@@ -374,9 +385,24 @@ def records_to_json(records: Sequence[TimestepRecord]) -> str:
 
 def prediction_error(series: Sequence[TimestepRecord]) -> float:
     """Mean absolute gap between predicted and observed quality over a run."""
-    if not series:
+    return _mean_gap((r.alpha_pred, r.alpha_obs) for r in series)
+
+
+def _mean_gap(pairs: Iterable[Tuple[float, float]]) -> float:
+    """Mean of |predicted − observed| over (predicted, observed) pairs.
+
+    The one accumulator behind every prediction error: a plain left-to-right
+    sum, so the same gaps give the same float on any Python (3.12 made
+    ``sum`` of floats compensated).
+    """
+    total = 0.0
+    n = 0
+    for pred, obs in pairs:
+        total += abs(pred - obs)
+        n += 1
+    if n == 0:
         raise ValueError("prediction_error requires a non-empty series")
-    return sum(abs(r.alpha_pred - r.alpha_obs) for r in series) / len(series)
+    return total / n
 
 
 def _streams(seed: int, n: int) -> List[np.random.Generator]:
@@ -450,7 +476,6 @@ def run_referrer_experiment(
                 alpha_pred=expected_quality(predicted),
                 alpha_obs=expected_quality(observed),
                 trust_state=trust,
-                certainty_pred=certainty(predicted),
             )
         )
     return records
@@ -528,10 +553,46 @@ def run_combination_experiment(
                 alpha_pred=expected_quality(estimate),
                 alpha_obs=expected_quality(observed),
                 trust_state=trust_bad,
-                certainty_pred=certainty(estimate),
             )
         )
     return CombinationResult(records, goods, bads, switch_step)
+
+
+def _history_observations(config: ExperimentConfig, profile: BehaviorProfile) -> List[Evidence]:
+    """The observed ⟨k, n−k⟩ of every step of a history run.
+
+    This is all the randomness of the run: the behavior stream draws X_1..X_T
+    (Damping takes its horizon from the config when one is set) and the
+    transaction stream draws ``tx_per_step`` outcomes at each X_t.
+    """
+    rng_behavior, rng_tx = _streams(config.seed, 2)
+    if isinstance(profile, Damping) and config.horizon is not None:
+        profile = replace(profile, horizon=config.horizon)
+    xs = behavior_sequence(profile, rng_behavior, config.timesteps)
+    return [sample_transactions(x, config.tx_per_step, rng_tx) for x in xs]
+
+
+def _discounted_fold(observed: Iterable[Evidence], keep: float) -> Iterator[Tuple[float, float]]:
+    """Carried ⟨r, s⟩ after each observation: r ← r·keep + k, s ← s·keep + (n−k).
+
+    Amazon keeps everything (keep = 1.0; x·1.0 = x, so this is the plain
+    running sum) and FixedBeta keeps 1 − β.
+    """
+    r = s = 0.0
+    for obs in observed:
+        r = r * keep + obs.r
+        s = s * keep + obs.s
+        yield r, s
+
+
+def _history_fold(observed: Iterable[Evidence]) -> Iterator[Tuple[Evidence, HistoryUpdate]]:
+    """TrustInHistory: the carried evidence before each observation, and the
+    :func:`history_update` that the observation makes."""
+    state = HistoryState()
+    for obs in observed:
+        upd = history_update(state, obs)
+        yield state.carried, upd
+        state = upd.state
 
 
 def run_history_experiment(
@@ -553,47 +614,66 @@ def run_history_experiment(
     that step (1 for Amazon, 1−β for FixedBeta, the adaptive weight for
     TrustInHistory); ``trust_state`` holds the history trust for
     TrustInHistory and the carried evidence otherwise.
+
+    The observations never depend on β or the mode; to score many β values,
+    :func:`history_errors` folds them all over one draw.
     """
     mode = HistoryMode(mode)
-    rng_behavior, rng_tx = _streams(config.seed, 2)
-    prof = profile
-    if isinstance(prof, Damping) and config.horizon is not None:
-        prof = replace(prof, horizon=config.horizon)
-    xs = behavior_sequence(prof, rng_behavior, config.timesteps)
-
-    carried = Evidence(0.0, 0.0)
-    state = HistoryState()
-    records: List[TimestepRecord] = []
-    for t in range(1, config.timesteps + 1):
-        observed = sample_transactions(xs[t - 1], config.tx_per_step, rng_tx)
-        predicted = state.carried if mode is HistoryMode.TRUST_IN_HISTORY else carried
-        alpha_pred = expected_quality(predicted)
-        cert_pred = certainty(predicted)
-
-        if mode is HistoryMode.AMAZON:
-            carried = carried + observed
-            retention = 1.0
-            trust_state = carried
-        elif mode is HistoryMode.FIXED_BETA:
-            carried = carried.scaled(1.0 - config.beta) + observed
-            retention = 1.0 - config.beta
-            trust_state = carried
-        else:
-            upd = history_update(state, observed)
-            state = upd.state
-            retention = upd.discount
-            trust_state = state.history_trust
-
-        records.append(
-            TimestepRecord(
-                t=t,
-                predicted=predicted,
-                observed=observed,
-                alpha_pred=alpha_pred,
-                alpha_obs=expected_quality(observed),
-                trust_state=trust_state,
-                certainty_pred=cert_pred,
-                discount=retention,
-            )
+    observed = _history_observations(config, profile)
+    if mode is HistoryMode.TRUST_IN_HISTORY:
+        steps = [
+            (predicted, upd.discount, upd.state.history_trust)
+            for predicted, upd in _history_fold(observed)
+        ]
+    else:
+        keep = 1.0 if mode is HistoryMode.AMAZON else 1.0 - config.beta
+        carried = [Evidence(r, s) for r, s in _discounted_fold(observed, keep)]
+        steps = [(p, keep, c) for p, c in zip([Evidence(0.0, 0.0), *carried], carried)]
+    return [
+        TimestepRecord(
+            t=t,
+            predicted=predicted,
+            observed=obs,
+            alpha_pred=expected_quality(predicted),
+            alpha_obs=expected_quality(obs),
+            trust_state=trust_state,
+            discount=retention,
         )
-    return records
+        for t, (obs, (predicted, retention, trust_state)) in enumerate(zip(observed, steps), 1)
+    ]
+
+
+def history_errors(
+    config: ExperimentConfig,
+    profile: BehaviorProfile,
+    mode: HistoryMode,
+    betas: Sequence[float],
+) -> List[float]:
+    """Prediction error of the history experiment at each β, from one draw.
+
+    Equal, float for float, to ``[prediction_error(run_history_experiment(
+    replace(config, beta=b), profile, mode)) for b in betas]``, but the
+    observations are drawn once, and neither records nor the certainty of
+    each prediction are built.  Amazon and TrustInHistory do not depend on β
+    and are folded once.
+    """
+    mode = HistoryMode(mode)
+    for b in betas:
+        if not (0.0 <= b <= 1.0):
+            raise ValueError(f"beta must be in [0, 1], got {b}")
+    observed = _history_observations(config, profile)
+    alpha_obs = [expected_quality(obs) for obs in observed]
+
+    def error(keep: float) -> float:
+        before = [(0.0, 0.0), *_discounted_fold(observed[:-1], keep)]
+        return _mean_gap((_quality(r, s), a) for (r, s), a in zip(before, alpha_obs))
+
+    if mode is HistoryMode.TRUST_IN_HISTORY:
+        tih = _mean_gap(
+            (expected_quality(predicted), a)
+            for (predicted, _), a in zip(_history_fold(observed), alpha_obs)
+        )
+        return [tih] * len(betas)
+    if mode is HistoryMode.AMAZON:
+        return [error(1.0)] * len(betas)
+    return [error(1.0 - b) for b in betas]

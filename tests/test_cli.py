@@ -140,6 +140,19 @@ class TestSweepCommand:
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_unknown_profile_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--profiles", "bogus", "--beta-grid", "0:1:0.5")
+        assert code == 1
+        assert "--profiles" in err and "bogus" in err
+        assert out == ""
+
+    def test_referrer_profile_rejected_for_history(self, capsys):
+        code, out, err = run(capsys, "sweep", "--experiment", "history",
+                             "--profiles", "periodic,truthful", "--beta-grid", "0:1:0.5")
+        assert code == 1
+        assert "behavior profile" in err
+        assert out == ""
+
     def test_referrer_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "--experiment", "referrer",
                            "--profiles", "truthful", "--method", "AverageBeta",
@@ -216,6 +229,32 @@ class TestExitCodes:
         else:
             argv = ["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5"]
         code, out, err = run(capsys, *argv, flag, "0")
+        assert code == 1
+        assert flag in err
+        assert out == ""
+
+    @pytest.mark.parametrize("switch", ["-3", "5", "99"])
+    def test_switch_outside_run_is_usage_error(self, capsys, switch):
+        code, out, err = run(capsys, "simulate", "--experiment", "combine",
+                             "--timesteps", "5", "--switch", switch)
+        assert code == 1
+        assert "--switch" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("switch", ["0", "4"])
+    def test_switch_inside_run_accepted(self, capsys, switch):
+        code, out, _ = run(capsys, "simulate", "--experiment", "combine",
+                           "--timesteps", "5", "--switch", switch)
+        assert code == 0
+        assert len(out.strip().split("\n")) == 6
+
+    @pytest.mark.parametrize("grid", ["0:2:0.5", "-0.5:0.5:0.5"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["amazon"], "--lambda-grid"),
+        (["sweep", "--profiles", "periodic"], "--beta-grid"),
+    ])
+    def test_grid_outside_unit_interval_is_usage_error(self, capsys, argv, flag, grid):
+        code, out, err = run(capsys, *argv, f"{flag}={grid}")
         assert code == 1
         assert flag in err
         assert out == ""

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from evitrust.core import Evidence, expected_quality
+from evitrust.core import Evidence, certainty, expected_quality
 from evitrust.simulation import (
     CSV_HEADER,
     Damping,
@@ -21,6 +22,7 @@ from evitrust.simulation import (
     Truthful,
     behavior_sequence,
     behavior_value,
+    history_errors,
     make_report,
     prediction_error,
     records_to_csv,
@@ -129,7 +131,7 @@ class TestMakeReport:
 class TestPredictionError:
     def rec(self, ap, ao):
         e = Evidence(1, 1)
-        return TimestepRecord(1, e, e, ap, ao, e, 0.0)
+        return TimestepRecord(1, e, e, ap, ao, e)
 
     def test_zero_for_perfect_predictions(self):
         series = [self.rec(0.4, 0.4), self.rec(0.9, 0.9)]
@@ -297,3 +299,51 @@ class TestHistoryExperiment:
             recs = run_history_experiment(cfg, profile, HistoryMode.TRUST_IN_HISTORY)
             assert len(recs) == 12
             assert all(r.observed.total == 50 for r in recs)
+
+
+class TestHistoryErrors:
+    """The one-draw β grid against one full run per β."""
+
+    BETAS = [round(0.05 * k, 10) for k in range(21)] + [0.123, 1.0, 0.0]
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    @pytest.mark.parametrize("mode", list(HistoryMode))
+    @pytest.mark.parametrize(
+        "profile", [Probability(0.9), Periodic(), Random(), Damping(horizon=999)]
+    )
+    def test_equals_one_run_per_beta(self, seed, mode, profile):
+        cfg = ExperimentConfig(timesteps=30, tx_per_step=20, seed=seed, horizon=16)
+        expected = [
+            prediction_error(run_history_experiment(replace(cfg, beta=b), profile, mode))
+            for b in self.BETAS
+        ]
+        assert history_errors(cfg, profile, mode, self.BETAS) == expected
+
+    def test_seeds_draw_apart(self):
+        cfg = ExperimentConfig(timesteps=30, seed=0)
+        a = history_errors(cfg, Random(), HistoryMode.FIXED_BETA, [0.3])
+        b = history_errors(replace(cfg, seed=13), Random(), HistoryMode.FIXED_BETA, [0.3])
+        assert a != b
+
+    def test_out_of_range_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            history_errors(ExperimentConfig(), Periodic(), HistoryMode.AMAZON, [0.5, 1.5])
+
+
+class TestCertaintyPred:
+    def test_derived_from_prediction_in_every_driver(self):
+        cfg = ExperimentConfig(timesteps=6, seed=4)
+        runs = [
+            run_referrer_experiment(cfg, Truthful()),
+            run_combination_experiment(cfg, switch_step=3).records,
+            run_history_experiment(cfg, Periodic(), HistoryMode.TRUST_IN_HISTORY),
+        ]
+        for records in runs:
+            for rec in records:
+                assert rec.certainty_pred == certainty(rec.predicted)
+
+    def test_read_only(self):
+        rec = run_history_experiment(ExperimentConfig(timesteps=2), Periodic(),
+                                     HistoryMode.AMAZON)[0]
+        with pytest.raises(AttributeError):
+            rec.certainty_pred = 0.5
