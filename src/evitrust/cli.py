@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from typing import List, Optional, Sequence
@@ -46,7 +47,7 @@ from .simulation import (
     RandomWalk,
     Rumor,
     Truthful,
-    _fmt,
+    _table,
     history_errors,
     prediction_error,
     records_to_csv,
@@ -130,19 +131,30 @@ def _parse_count(text: str) -> int:
     return n
 
 
+def _parse_rate(text: str) -> float:
+    """Parse a rate such as β or λ, which must lie in [0, 1]."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 <= v <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return v
+
+
 def _parse_grid(text: str) -> List[float]:
     """Parse 'lo:hi:step' into a grid of rates, each in [0, 1]."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected 'lo:hi:step', got {text!r}")
+    lo, hi = _parse_rate(parts[0]), _parse_rate(parts[1])
     try:
-        lo, hi, step = (float(p) for p in parts)
+        step = float(parts[2])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"grid bounds must be numbers, got {text!r}")
-    if step <= 0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"need lo <= hi and step > 0, got {text!r}")
-    if lo < 0.0 or hi > 1.0:
-        raise argparse.ArgumentTypeError(f"grid values must be in [0, 1], got {text!r}")
+        raise argparse.ArgumentTypeError(f"grid step must be a number, got {text!r}")
+    # A NaN or infinite step would never pass hi.
+    if not 0.0 < step < math.inf or hi < lo:
+        raise argparse.ArgumentTypeError(f"need lo <= hi and a finite step > 0, got {text!r}")
     values = []
     k = 0
     while True:
@@ -220,26 +232,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _table(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
-    if fmt == "json":
-        objs = []
-        for row in rows:
-            obj = {}
-            for name, cell in zip(header, row):
-                if cell == "":
-                    obj[name] = None
-                else:
-                    try:
-                        obj[name] = float(cell)
-                    except ValueError:
-                        obj[name] = cell
-            objs.append(obj)
-        return json.dumps(objs, indent=2) + "\n"
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
@@ -265,7 +257,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("update", parents=[common], help="one trust update of a report's source")
     p.add_argument("--method", required=True, type=_parse_update_method,
                    help=" | ".join(m.value for m in UpdateMethod if m is not UpdateMethod.AVERAGE_ALPHA))
-    p.add_argument("--beta", type=float, default=0.2, help="forgetting rate (default 0.2)")
+    p.add_argument("--beta", type=_parse_rate, default=0.2, help="forgetting rate (default 0.2)")
     p.add_argument("--observed", required=True, type=_parse_evidence, metavar="R,S")
     p.add_argument("--report", required=True, type=_parse_evidence, metavar="R,S")
     p.add_argument("--prior", type=_parse_evidence, default=_EvidencePair(1.0, 1.0), metavar="R,S",
@@ -278,7 +270,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", type=_parse_update_method, default=UpdateMethod.AVERAGE_BETA)
     p.add_argument("--mode", type=_parse_history_mode, default=HistoryMode.TRUST_IN_HISTORY,
                    help="history experiment mode: Amazon | FixedBeta | TrustInHistory")
-    p.add_argument("--beta", type=float, default=0.2)
+    p.add_argument("--beta", type=_parse_rate, default=0.2)
     p.add_argument("--timesteps", type=_parse_count, default=100)
     p.add_argument("--tx", type=_parse_count, default=50, help="transactions per step (default 50)")
     p.add_argument("--switch", type=int, default=50,
@@ -350,10 +342,14 @@ def _cmd_accuracy(args) -> int:
     return EXIT_OK
 
 
-def _cmd_update(args) -> int:
-    if args.method is UpdateMethod.AVERAGE_ALPHA:
-        raise _UsageError("AverageAlpha drives the history experiment; use "
+def _require_referrer_method(method: UpdateMethod) -> None:
+    if method is UpdateMethod.AVERAGE_ALPHA:
+        raise _UsageError("AverageAlpha is a history method, not a referrer update; use "
                           "'simulate --experiment history --mode TrustInHistory'")
+
+
+def _cmd_update(args) -> int:
+    _require_referrer_method(args.method)
     cfg = UpdateConfig(method=args.method, beta=args.beta)
     updated = update_referrer(cfg, args.observed.build(), args.report.build(),
                               args.prior.build())
@@ -379,9 +375,8 @@ def _require_behavior_profile(profile) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    if args.experiment != "history" and args.method is UpdateMethod.AVERAGE_ALPHA:
-        raise _UsageError("AverageAlpha applies to '--experiment history' "
-                          "(as '--mode TrustInHistory'), not to referrer updates")
+    if args.experiment != "history":
+        _require_referrer_method(args.method)
     cfg = _experiment_config(args)
     if args.experiment == "referrer":
         profile = args.profile if args.profile is not None else Truthful()
@@ -405,6 +400,8 @@ def _cmd_sweep(args) -> int:
     if args.experiment == "history":
         for profile in args.profiles:
             _require_behavior_profile(profile)
+    else:
+        _require_referrer_method(args.method)
     header = ["profile", "method", "beta", "error"]
     rows = []
     for profile in args.profiles:
@@ -423,7 +420,7 @@ def _cmd_sweep(args) -> int:
             ]
             label = args.method.value
         for beta, errs in zip(args.beta_grid, per_beta):
-            rows.append([pname, label, _fmt(beta), _fmt(sum(errs) / len(errs))])
+            rows.append([pname, label, beta, sum(errs) / len(errs)])
     _emit(_table(header, rows, args.format), args.out)
     return EXIT_OK
 
@@ -443,11 +440,7 @@ def _cmd_amazon(args) -> int:
     configs.append(AmazonConfig(mode=AmazonMode.TRUST_IN_HISTORY))
     results = run_amazon_experiment(records, configs)
     header = ["seller_id", "mode", "lambda", "error", "error_1to5"]
-    rows = [
-        [r.seller_id, r.mode.value, "" if r.lambda_ is None else _fmt(r.lambda_),
-         _fmt(r.error), _fmt(r.error_scale5)]
-        for r in results
-    ]
+    rows = [[r.seller_id, r.mode.value, r.lambda_, r.error, r.error_scale5] for r in results]
     _emit(_table(header, rows, args.format), args.out)
     return EXIT_OK
 

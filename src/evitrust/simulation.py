@@ -33,6 +33,8 @@ of its reports after the switch.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -346,41 +348,51 @@ CSV_HEADER = (
 )
 
 
+_Cell = Union[int, float, str, None]
+
+
 def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _record_row(rec: TimestepRecord) -> List[str]:
+def _table(header: Sequence[str], rows: Iterable[Sequence[_Cell]], fmt: str) -> str:
+    """The one table writer: typed cells under a header, as CSV or JSON.
+
+    CSV renders each float with :func:`_fmt` and None as an empty field, and
+    quotes a field only when it holds a comma, quote or newline.  JSON is a
+    list of objects holding the cells as they are.
+    """
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(c) if isinstance(c, float) else c for c in row] for row in rows)
+    return buf.getvalue()
+
+
+def _record_row(rec: TimestepRecord) -> List[_Cell]:
     return [
-        str(rec.t),
-        _fmt(rec.alpha_pred),
-        _fmt(rec.alpha_obs),
-        _fmt(rec.predicted.r),
-        _fmt(rec.predicted.s),
-        _fmt(rec.observed.r),
-        _fmt(rec.observed.s),
-        _fmt(rec.trust_state.r),
-        _fmt(rec.trust_state.s),
-        _fmt(rec.certainty_pred),
-        "" if rec.discount is None else _fmt(rec.discount),
+        rec.t,
+        rec.alpha_pred,
+        rec.alpha_obs,
+        rec.predicted.r,
+        rec.predicted.s,
+        rec.observed.r,
+        rec.observed.s,
+        rec.trust_state.r,
+        rec.trust_state.s,
+        rec.certainty_pred,
+        rec.discount,
     ]
 
 
 def records_to_csv(records: Sequence[TimestepRecord]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(",".join(_record_row(r)) for r in records)
-    return "\n".join(lines) + "\n"
+    return _table(CSV_HEADER.split(","), map(_record_row, records), "csv")
 
 
 def records_to_json(records: Sequence[TimestepRecord]) -> str:
-    names = CSV_HEADER.split(",")
-    rows = []
-    for rec in records:
-        row = _record_row(rec)
-        obj = {name: (int(row[0]) if name == "t" else None if cell == "" else float(cell))
-               for name, cell in zip(names, row)}
-        rows.append(obj)
-    return json.dumps(rows, indent=2) + "\n"
+    return _table(CSV_HEADER.split(","), map(_record_row, records), "json")
 
 
 def prediction_error(series: Sequence[TimestepRecord]) -> float:

@@ -27,8 +27,7 @@ The AverageBeta accuracy has the closed form
     q = 1 − sqrt((α − m)² + v),   m = (r′+1)/(r′+s′+2),
     v = (r′+1)(s′+1) / ((r′+s′+2)²(r′+s′+3)),
 
-which equals 1 − sqrt(∫ f_rep(x)(x−α)² dx); the integral form is kept as an
-independent quadrature oracle in :func:`accuracy_average_integral`.
+which equals 1 − sqrt(∫ f_rep(x)(x−α)² dx).
 
 :func:`history_update` applies the same machinery to a "ghost" referrer whose
 report is the client's own discounted history of a provider, yielding a
@@ -43,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import Evidence, certainty, expected_quality
-from .numerics import DEFAULT_TOLERANCE, Tolerance, integrate
 
 __all__ = [
     "UpdateMethod",
@@ -55,7 +53,6 @@ __all__ = [
     "accuracy_max_certainty",
     "accuracy_sensitivity",
     "accuracy_average",
-    "accuracy_average_integral",
     "update_referrer",
     "history_update",
 ]
@@ -196,76 +193,6 @@ def accuracy_average(alpha: float, report: Evidence) -> float:
     m = (rp + 1.0) / n
     v = (rp + 1.0) * (sp + 1.0) / (n * n * (rp + sp + 3.0))
     e = math.sqrt((alpha - m) ** 2 + v)
-    return min(max(1.0 - e, 0.0), 1.0)
-
-
-def accuracy_average_integral(
-    alpha: float, report: Evidence, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
-    """Average accuracy evaluated by quadrature instead of the closed form.
-
-    q = 1 − sqrt(∫ w(x)(x−α)² dx / ∫ w(x) dx) with w(x) = xʳ′(1−x)ˢ′.  Kept
-    as an independent oracle: it shares no code with the closed form (the
-    weight is peak-scaled instead of beta-normalized, so no special functions
-    are involved).  The integration is split at landmarks around the weight's
-    peak so the adaptive rule cannot step over a narrow spike.
-    """
-    _check_unit("alpha", alpha)
-    rp, sp = report.r, report.s
-    total = rp + sp
-    peak = rp / total if total > 0 else 0.5
-
-    def log_w(x: float) -> float:
-        acc = 0.0
-        if rp > 0.0:
-            acc += rp * (math.log(x) if x > 0.0 else -math.inf)
-        if sp > 0.0:
-            acc += sp * (math.log1p(-x) if x < 1.0 else -math.inf)
-        return acc
-
-    log_scale = log_w(peak)
-
-    def w(x: float) -> float:
-        lw = log_w(x) - log_scale
-        return math.exp(lw) if lw > -745.0 else 0.0
-
-    # Large totals concentrate w in a spike around the peak; seed the
-    # subdivision with the points where log w has dropped by fixed amounts
-    # from its maximum, or the first Simpson samples all see ~0.
-    def flank(endpoint: float, drop: float) -> float:
-        target = -drop
-        if log_w(endpoint) - log_scale >= target:
-            return endpoint
-        lo_x, hi_x = (endpoint, peak) if endpoint < peak else (peak, endpoint)
-        for _ in range(80):
-            mid = 0.5 * (lo_x + hi_x)
-            if (log_w(mid) - log_scale) < target:
-                if endpoint < peak:
-                    lo_x = mid
-                else:
-                    hi_x = mid
-            else:
-                if endpoint < peak:
-                    hi_x = mid
-                else:
-                    lo_x = mid
-        return 0.5 * (lo_x + hi_x)
-
-    cuts = sorted({0.0, 1.0, peak} | {flank(side, d) for side in (0.0, 1.0) for d in (3.0, 45.0)})
-
-    def piecewise(f) -> float:
-        # Amplitude-scale so the absolute tolerance acts relatively; the
-        # squared-error integrand can sit orders of magnitude below the
-        # weight when the report is sharp and accurate.
-        probes = list(cuts) + [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
-        amp = max(abs(f(x)) for x in probes) or 1.0
-        return amp * sum(
-            integrate(lambda x: f(x) / amp, a, b, tol) for a, b in zip(cuts, cuts[1:]) if b > a
-        )
-
-    num = piecewise(lambda x: w(x) * (x - alpha) ** 2)
-    den = piecewise(w)
-    e = math.sqrt(num / den)
     return min(max(1.0 - e, 0.0), 1.0)
 
 

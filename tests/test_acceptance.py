@@ -11,9 +11,9 @@ of each inconsistency are spelled out in the failing assertions.
 import numpy as np
 import pytest
 
+from conftest import Tolerance, accuracy_average_integral
 from evitrust.cli import cli_main
 from evitrust.core import Evidence, certainty, expected_quality
-from evitrust.numerics import Tolerance
 from evitrust.simulation import (
     ExperimentConfig,
     HistoryMode,
@@ -28,7 +28,6 @@ from evitrust.updates import (
     UpdateConfig,
     UpdateMethod,
     accuracy_average,
-    accuracy_average_integral,
     accuracy_linear,
     accuracy_max_certainty,
     accuracy_sensitivity,

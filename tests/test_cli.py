@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -74,6 +76,19 @@ class TestUpdateCommand:
                            "--observed", "2,1", "--report", "5,5")
         assert code == 1
         assert "history" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["update", "--observed", "2,1", "--report", "5,5"],
+        ["simulate", "--experiment", "referrer", "--timesteps", "4"],
+        ["simulate", "--experiment", "combine", "--timesteps", "4", "--switch", "2"],
+        ["sweep", "--experiment", "referrer", "--profiles", "truthful",
+         "--beta-grid", "0:1:0.5", "--seeds", "1", "--timesteps", "4"],
+    ])
+    def test_history_method_rejected_by_every_referrer_command(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--method", "AverageAlpha")
+        assert code == 1
+        assert "history" in err and "--mode TrustInHistory" in err
+        assert out == ""
 
 
 class TestSimulateCommand:
@@ -197,6 +212,66 @@ class TestAmazonCommand:
         rows = json.loads(out)
         assert rows and set(rows[0]) == {"seller_id", "mode", "lambda", "error", "error_1to5"}
 
+    def test_json_seller_ids_stay_strings(self, tmp_path, capsys):
+        ids = ["007", "7", "1e3", "nan"]
+        p = tmp_path / "fb.csv"
+        p.write_text("seller_id,t,rating\n" + "".join(f"{i},{t},4\n" for i in ids for t in (1, 2)),
+                     encoding="utf-8")
+        code, out, _ = run(capsys, "amazon", "--input", str(p), "--lambda-grid", "0.5:0.5:1",
+                           "--format", "json")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        rows = json.loads(out, parse_constant=reject)
+        # unweighted, one lambda and trust-in-history per seller
+        assert [row["seller_id"] for row in rows] == [i for i in ids for _ in range(3)]
+
+    def test_csv_quotes_seller_ids_with_commas(self, tmp_path, capsys):
+        p = tmp_path / "fb.csv"
+        p.write_text('seller_id,t,rating\n"acme, inc",1,4\n"acme, inc",2,5\nplain,1,3\nplain,2,3\n',
+                     encoding="utf-8")
+        code, out, _ = run(capsys, "amazon", "--input", str(p), "--lambda-grid", "0.5:0.5:1")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["seller_id", "mode", "lambda", "error", "error_1to5"]
+        assert all(len(row) == 5 for row in rows)
+        assert [row[0] for row in rows[1:]] == ["acme, inc"] * 3 + ["plain"] * 3
+
+
+def _typed(name, cell):
+    """A CSV cell as the value it encodes: None, the int step t, a float or a string."""
+    if cell == "":
+        return None
+    if name == "t":
+        return int(cell)
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--experiment", "referrer", "--timesteps", "6"],
+    ["simulate", "--experiment", "combine", "--timesteps", "6", "--switch", "3"],
+    ["simulate", "--experiment", "history", "--timesteps", "6"],
+    ["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5", "--seeds", "1",
+     "--timesteps", "6"],
+    ["amazon", "--lambda-grid", "0:1:0.5"],
+])
+def test_json_rows_equal_typed_csv_rows(capsys, argv):
+    code_csv, csv_out, _ = run(capsys, *argv)
+    code_json, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code_csv == code_json == 0
+    want = [{k: _typed(k, v) for k, v in row.items()}
+            for row in csv.DictReader(io.StringIO(csv_out))]
+    rows = json.loads(json_out)
+    assert rows == want
+    assert [[type(v) for v in row.values()] for row in rows] == \
+        [[type(v) for v in row.values()] for row in want]
+    assert all(type(row["t"]) is int for row in rows if "t" in row)
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -257,6 +332,24 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, f"{flag}={grid}")
         assert code == 1
         assert flag in err
+        assert out == ""
+
+    @pytest.mark.parametrize("beta", ["1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--experiment", "history"],
+        ["update", "--method", "Josang", "--observed", "2,1", "--report", "5,5"],
+    ])
+    def test_beta_outside_unit_interval_is_usage_error(self, capsys, argv, beta):
+        code, out, err = run(capsys, *argv, f"--beta={beta}")
+        assert code == 1
+        assert "--beta" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "x"])
+    def test_bad_grid_step_is_usage_error(self, capsys, step):
+        code, out, err = run(capsys, "amazon", f"--lambda-grid=0:1:{step}")
+        assert code == 1
+        assert "--lambda-grid" in err
         assert out == ""
 
     def test_unwritable_out_is_data_error(self, capsys):

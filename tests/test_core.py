@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import certainty_by_quadrature
+from conftest import Tolerance, certainty_by_quadrature, integrate
 from evitrust.core import (
     MAX_EVIDENCE_TOTAL,
     Belief,
@@ -16,7 +16,6 @@ from evitrust.core import (
     to_belief,
 )
 from evitrust.errors import ConvergenceError
-from evitrust.numerics import Tolerance, integrate
 
 
 class TestEvidence:

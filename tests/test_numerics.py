@@ -3,15 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import DEFAULT_TOLERANCE, Tolerance, integrate
 from evitrust.errors import ConvergenceError
-from evitrust.numerics import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
-    integrate,
-    log_beta,
-    log_gamma,
-    regularized_incomplete_beta,
-)
+from evitrust.numerics import log_beta, log_gamma, regularized_incomplete_beta
 
 
 class TestLogGamma:

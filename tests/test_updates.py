@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import Tolerance, accuracy_average_integral
 from evitrust.core import Evidence, certainty, expected_quality
-from evitrust.numerics import Tolerance
 from evitrust.updates import (
     HistoryState,
     HistoryUpdate,
     UpdateConfig,
     UpdateMethod,
     accuracy_average,
-    accuracy_average_integral,
     accuracy_linear,
     accuracy_max_certainty,
     accuracy_sensitivity,
