@@ -22,8 +22,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from importlib import resources
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, get_args
 
 from .amazon import (
     AmazonConfig,
@@ -35,17 +36,11 @@ from .amazon import (
 from .core import Evidence, certainty, expected_quality
 from .errors import ConvergenceError, FeedbackFormatError
 from .simulation import (
-    Damping,
+    _PROFILES,
     ExperimentConfig,
-    GoodThenCorrupted,
     HistoryMode,
-    Honest,
-    Momentum,
-    Periodic,
     Probability,
-    Random,
-    RandomWalk,
-    Rumor,
+    ReferrerProfile,
     Truthful,
     _table,
     history_errors,
@@ -81,18 +76,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_BEHAVIOR_PROFILES = ("probability", "periodic", "damping", "random", "randomwalk", "momentum")
-_REFERRER_PROFILES = ("truthful", "honest", "rumor", "corrupted")
-
 _UPDATE_METHODS = {m.value.lower(): m for m in UpdateMethod}
 _HISTORY_MODES = {m.value.lower(): m for m in HistoryMode}
-_ACCURACY_NAMES = {
-    "linear": "linear",
-    "maxcertainty": "maxcertainty",
-    "max-certainty": "maxcertainty",
-    "sensitivity": "sensitivity",
-    "average": "average",
+# Each accuracy measure as q(observed, report).
+_ACCURACY_MEASURES = {
+    "linear": lambda obs, rep: accuracy_linear(expected_quality(obs), expected_quality(rep)),
+    "maxcertainty": lambda obs, rep: accuracy_max_certainty(obs, expected_quality(rep)),
+    "sensitivity": lambda obs, rep: accuracy_sensitivity(expected_quality(obs), rep),
+    "average": lambda obs, rep: accuracy_average(expected_quality(obs), rep),
 }
+_ACCURACY_MEASURES["max-certainty"] = _ACCURACY_MEASURES["maxcertainty"]
 
 
 class _EvidencePair:
@@ -128,6 +121,17 @@ def _parse_count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _parse_seed(text: str) -> int:
+    """Parse a seed, which numpy takes as an integer in [0, 2**64 - 1]."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if not 0 <= n <= 2**64 - 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64 - 1], got {n}")
     return n
 
 
@@ -168,40 +172,23 @@ def _parse_grid(text: str) -> List[float]:
 
 def parse_profile(text: str):
     """Parse a profile spec like 'probability:0.9', 'momentum:0.1,0.5',
-    'rumor:50,10', or 'corrupted:50'."""
+    'rumor:50,10', or 'corrupted:50'.  The arguments fill the profile's fields
+    in order, each of its default's type; extra arguments are an error."""
     name, _, argtext = text.strip().lower().partition(":")
     args = [a for a in argtext.split(",") if a] if argtext else []
+    if name not in _PROFILES:
+        raise argparse.ArgumentTypeError(
+            f"unknown profile {text!r}; expected one of {', '.join(_PROFILES)}"
+        )
+    params = fields(_PROFILES[name])
+    if len(args) > len(params):
+        raise argparse.ArgumentTypeError(
+            f"profile {name!r} takes at most {len(params)} argument(s), got {text!r}"
+        )
     try:
-        if name == "probability":
-            return Probability(float(args[0])) if args else Probability()
-        if name == "periodic":
-            return Periodic()
-        if name == "damping":
-            return Damping(int(args[0])) if args else Damping()
-        if name == "random":
-            return Random()
-        if name in ("randomwalk", "walk"):
-            return RandomWalk(float(args[0])) if args else RandomWalk()
-        if name == "momentum":
-            if len(args) >= 2:
-                return Momentum(float(args[0]), float(args[1]))
-            return Momentum(float(args[0])) if args else Momentum()
-        if name == "truthful":
-            return Truthful()
-        if name == "honest":
-            return Honest()
-        if name == "rumor":
-            if len(args) >= 2:
-                return Rumor(int(args[0]), float(args[1]))
-            return Rumor(int(args[0])) if args else Rumor()
-        if name == "corrupted":
-            return GoodThenCorrupted(int(args[0])) if args else GoodThenCorrupted()
-    except (ValueError, IndexError) as exc:
+        return _PROFILES[name](*(type(f.default)(a) for f, a in zip(params, args)))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad profile arguments in {text!r}: {exc}")
-    raise argparse.ArgumentTypeError(
-        f"unknown profile {text!r}; expected one of "
-        f"{', '.join(_BEHAVIOR_PROFILES + _REFERRER_PROFILES)}"
-    )
 
 
 def _parse_update_method(text: str) -> UpdateMethod:
@@ -234,7 +221,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    common.add_argument("--seed", type=_parse_seed, default=0, help="base RNG seed (default 0)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format for tabular data (default csv)")
     common.add_argument("--out", metavar="FILE", default=None,
@@ -308,7 +295,7 @@ def _split_profiles(text: str) -> List:
     out, buf = [], []
     for piece in text.split(","):
         head = piece.strip().lower().partition(":")[0]
-        if buf and head in _BEHAVIOR_PROFILES + _REFERRER_PROFILES + ("walk",):
+        if buf and head in _PROFILES:
             out.append(",".join(buf))
             buf = [piece]
         else:
@@ -325,19 +312,10 @@ def _cmd_certainty(args) -> int:
 
 
 def _cmd_accuracy(args) -> int:
-    key = args.method.strip().lower()
-    if key not in _ACCURACY_NAMES:
+    measure = _ACCURACY_MEASURES.get(args.method.strip().lower())
+    if measure is None:
         raise _UsageError(f"unknown accuracy method {args.method!r}")
-    kind = _ACCURACY_NAMES[key]
-    observed, report = args.observed.build(), args.report.build()
-    if kind == "linear":
-        q = accuracy_linear(expected_quality(observed), expected_quality(report))
-    elif kind == "maxcertainty":
-        q = accuracy_max_certainty(observed, expected_quality(report))
-    elif kind == "sensitivity":
-        q = accuracy_sensitivity(expected_quality(observed), report)
-    else:
-        q = accuracy_average(expected_quality(observed), report)
+    q = measure(args.observed.build(), args.report.build())
     _emit(f"{q:.10g}\n", args.out)
     return EXIT_OK
 
@@ -370,7 +348,7 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
 
 
 def _require_behavior_profile(profile) -> None:
-    if isinstance(profile, (Truthful, Honest, Rumor, GoodThenCorrupted)):
+    if isinstance(profile, get_args(ReferrerProfile)):
         raise _UsageError("history experiment needs a behavior profile, not a referrer profile")
 
 

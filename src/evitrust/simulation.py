@@ -6,6 +6,11 @@ transactions, some prediction of the provider's quality is made before
 observing, and a trust state is updated afterwards.  Per-step results land in
 :class:`TimestepRecord` lists that serialize to CSV/JSON with a fixed schema.
 
+Both referrer experiments build their report streams and hand them to one
+loop, :func:`_track_referrers`: each step it discounts every report by the
+client's trust in its referrer and combines them into the prediction,
+observes, and updates every referrer's trust.
+
 The draws of a history run depend on the seed, the profile, ``timesteps``
 and ``tx_per_step``, never on β or the mode.  :func:`history_errors` uses
 that (common random numbers): it draws once and folds a whole β grid over
@@ -38,12 +43,13 @@ import io
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, get_args
 
 import numpy as np
 
-from .core import Evidence, _quality, certainty, expected_quality, from_belief, to_belief
-from .propagation import ReferralPath, combine_referrals, concatenate
+from .core import Evidence, _quality, certainty, expected_quality, to_belief
+from .propagation import ReferralPath, combine_referrals
 from .updates import (
     HistoryState,
     HistoryUpdate,
@@ -183,21 +189,15 @@ def behavior_sequence(
     Walk and momentum start from a hidden X_0 ~ U(0, 1); momentum emits
     X_1 = X_0 so its two-step lookback is defined from t = 2 on.
     """
+    prev = prev2 = float(rng.random()) if isinstance(profile, (RandomWalk, Momentum)) else 0.5
     values: List[float] = []
-    if isinstance(profile, (RandomWalk, Momentum)):
-        prev = float(rng.random())
-        prev2 = prev
-        start = 1
-        if isinstance(profile, Momentum):
-            values.append(prev)
-            start = 2
-        for t in range(start, timesteps + 1):
-            x = behavior_value(profile, t, prev, prev2, rng)
-            values.append(x)
-            prev2, prev = prev, x
-        return values
     for t in range(1, timesteps + 1):
-        values.append(behavior_value(profile, t, rng=rng))
+        if t == 1 and isinstance(profile, Momentum):
+            x = prev
+        else:
+            x = behavior_value(profile, t, prev, prev2, rng)
+        values.append(x)
+        prev2, prev = prev, x
     return values
 
 
@@ -249,6 +249,13 @@ class GoodThenCorrupted:
 
 ReferrerProfile = Union[Truthful, Honest, Rumor, GoodThenCorrupted]
 
+# Every profile by its CLI name.
+_PROFILES = {
+    "probability": Probability, "periodic": Periodic, "damping": Damping, "random": Random,
+    "randomwalk": RandomWalk, "walk": RandomWalk, "momentum": Momentum,
+    "truthful": Truthful, "honest": Honest, "rumor": Rumor, "corrupted": GoodThenCorrupted,
+}
+
 
 def make_report(
     profile: ReferrerProfile, true_experience: Evidence, t: int
@@ -294,7 +301,8 @@ class ExperimentConfig:
     timestep; ``referrer_tx_per_step`` is how many a referrer observes for
     its own experience.  ``provider_quality`` is the per-transaction success
     probability of the fixed provider used by the referrer experiments.
-    ``horizon`` feeds the Damping profile and defaults to ``timesteps``.
+    ``horizon``, when set, replaces a Damping profile's own horizon; when
+    None the profile keeps its own (100 by default).
     """
 
     timesteps: int = 100
@@ -319,10 +327,6 @@ class ExperimentConfig:
             raise ValueError(f"provider_quality must be in [0, 1], got {self.provider_quality}")
         if self.seed < 0 or self.seed > 2**64 - 1:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-
-    @property
-    def effective_horizon(self) -> int:
-        return self.timesteps if self.horizon is None else self.horizon
 
 
 @dataclass(frozen=True)
@@ -428,6 +432,50 @@ def _streams(seed: int, n: int) -> List[np.random.Generator]:
 # --------------------------------------------------------------------------
 
 
+def _with_horizon(profile: BehaviorProfile, config: ExperimentConfig) -> BehaviorProfile:
+    """The profile with a Damping horizon taken from the config, when one is set."""
+    if isinstance(profile, Damping) and config.horizon is not None:
+        return replace(profile, horizon=config.horizon)
+    return profile
+
+
+def _provider_draws(config: ExperimentConfig, n: int, rng: np.random.Generator) -> List[Evidence]:
+    """A batch of n transactions with the fixed provider at every step."""
+    return [sample_transactions(config.provider_quality, n, rng) for _ in range(config.timesteps)]
+
+
+def _track_referrers(
+    config: ExperimentConfig,
+    reports: Sequence[Sequence[Evidence]],
+    rng_client: np.random.Generator,
+) -> Tuple[List[TimestepRecord], List[Tuple[Evidence, ...]]]:
+    """The referrer loop behind both referrer experiments.
+
+    ``reports[t-1]`` holds each referrer's report at step t.  Per step the
+    client predicts by combining the reports, each discounted by its current
+    trust in the referrer (prior ⟨1, 1⟩), observes ``tx_per_step``
+    transactions, and updates every referrer trust with ``config.method``.
+    The records carry the last referrer's trust in ``trust_state``; each
+    step's trusts are returned alongside.
+    """
+    ucfg = UpdateConfig(method=config.method, beta=config.beta)
+    trusts = (ucfg.referrer_prior,) * len(reports[0])
+    records: List[TimestepRecord] = []
+    history: List[Tuple[Evidence, ...]] = []
+    for t, step in enumerate(reports, 1):
+        predicted = combine_referrals(
+            ReferralPath(to_belief(trust), report) for trust, report in zip(trusts, step)
+        )
+        observed = sample_transactions(config.provider_quality, config.tx_per_step, rng_client)
+        trusts = tuple(
+            update_referrer(ucfg, observed, report, trust) for trust, report in zip(trusts, step)
+        )
+        history.append(trusts)
+        records.append(TimestepRecord(t, predicted, observed, expected_quality(predicted),
+                                      expected_quality(observed), trusts[-1]))
+    return records, history
+
+
 def run_referrer_experiment(
     config: ExperimentConfig,
     referrer_behavior: Union[BehaviorProfile, ReferrerProfile],
@@ -444,53 +492,24 @@ def run_referrer_experiment(
     is what makes its inflated claims checkable against the client's
     observations.
 
-    Per step: the referral is generated, the client forms its prediction by
-    discounting the referral with its current trust in the referrer
-    (concatenation), observes ``tx_per_step`` transactions, and updates the
-    referrer trust (prior ⟨1, 1⟩) with ``config.method``.
+    The reports then run through :func:`_track_referrers`, which discounts
+    each by the client's trust in the referrer and updates that trust.
     """
     rng_behavior, rng_referrer, rng_client = _streams(config.seed, 3)
-    ucfg = UpdateConfig(method=config.method, beta=config.beta)
-    trust = ucfg.referrer_prior
-
-    profile_driven = isinstance(
-        referrer_behavior, (Probability, Periodic, Damping, Random, RandomWalk, Momentum)
-    )
-    if profile_driven:
-        profile = referrer_behavior
-        if isinstance(profile, Damping) and config.horizon is not None:
-            profile = replace(profile, horizon=config.horizon)
-        xs = behavior_sequence(profile, rng_behavior, config.timesteps)
-    accumulated = Evidence(0.0, 0.0)
-
-    records: List[TimestepRecord] = []
-    for t in range(1, config.timesteps + 1):
-        if profile_driven:
-            x = xs[t - 1]
-            m = float(config.tx_per_step)
-            report = Evidence(m * x, m * (1.0 - x))
-        else:
-            fresh = sample_transactions(
-                config.provider_quality, config.referrer_tx_per_step, rng_referrer
-            )
-            accumulated = accumulated + fresh
-            base = fresh if isinstance(referrer_behavior, Rumor) and t > referrer_behavior.switch_step else accumulated
-            report = make_report(referrer_behavior, base, t)
-
-        predicted = from_belief(concatenate(to_belief(trust), to_belief(report)))
-        observed = sample_transactions(config.provider_quality, config.tx_per_step, rng_client)
-        trust = update_referrer(ucfg, observed, report, trust)
-        records.append(
-            TimestepRecord(
-                t=t,
-                predicted=predicted,
-                observed=observed,
-                alpha_pred=expected_quality(predicted),
-                alpha_obs=expected_quality(observed),
-                trust_state=trust,
-            )
-        )
-    return records
+    profile = referrer_behavior
+    if isinstance(profile, get_args(BehaviorProfile)):
+        m = float(config.tx_per_step)
+        xs = behavior_sequence(_with_horizon(profile, config), rng_behavior, config.timesteps)
+        reports = [(Evidence(m * x, m * (1.0 - x)),) for x in xs]
+    else:
+        fresh = _provider_draws(config, config.referrer_tx_per_step, rng_referrer)
+        # Past its switch, Rumor exaggerates only that step's fresh experience.
+        rumor_switch = profile.switch_step if isinstance(profile, Rumor) else config.timesteps
+        reports = [
+            (make_report(profile, f if t > rumor_switch else acc, t),)
+            for t, (f, acc) in enumerate(zip(fresh, accumulate(fresh)), 1)
+        ]
+    return _track_referrers(config, reports, rng_client)[0]
 
 
 @dataclass(frozen=True)
@@ -523,51 +542,15 @@ def run_combination_experiment(
     ``trust_state``; both full trust trajectories ride alongside.
     """
     rng_good, rng_bad, rng_client = _streams(config.seed, 3)
-    ucfg = UpdateConfig(method=config.method, beta=config.beta)
-    trust_good = ucfg.referrer_prior
-    trust_bad = ucfg.referrer_prior
-    exp_good = Evidence(0.0, 0.0)
-    exp_bad = Evidence(0.0, 0.0)
-
-    records: List[TimestepRecord] = []
-    goods: List[Evidence] = []
-    bads: List[Evidence] = []
-    for t in range(1, config.timesteps + 1):
-        exp_good = exp_good + sample_transactions(
-            config.provider_quality, config.tx_per_step, rng_good
-        )
-        exp_bad = exp_bad + sample_transactions(
-            config.provider_quality, config.tx_per_step, rng_bad
-        )
-        report_good = exp_good
-        if t > switch_step:
-            report_bad = Evidence(0.0, exp_bad.total)
-        else:
-            report_bad = exp_bad
-
-        estimate = combine_referrals(
-            [
-                ReferralPath(to_belief(trust_good), report_good),
-                ReferralPath(to_belief(trust_bad), report_bad),
-            ]
-        )
-        observed = sample_transactions(config.provider_quality, config.tx_per_step, rng_client)
-        trust_good = update_referrer(ucfg, observed, report_good, trust_good)
-        trust_bad = update_referrer(ucfg, observed, report_bad, trust_bad)
-
-        goods.append(trust_good)
-        bads.append(trust_bad)
-        records.append(
-            TimestepRecord(
-                t=t,
-                predicted=estimate,
-                observed=observed,
-                alpha_pred=expected_quality(estimate),
-                alpha_obs=expected_quality(observed),
-                trust_state=trust_bad,
-            )
-        )
-    return CombinationResult(records, goods, bads, switch_step)
+    goods = accumulate(_provider_draws(config, config.tx_per_step, rng_good))
+    bads = accumulate(_provider_draws(config, config.tx_per_step, rng_bad))
+    reports = [
+        (good, Evidence(0.0, bad.total) if t > switch_step else bad)
+        for t, (good, bad) in enumerate(zip(goods, bads), 1)
+    ]
+    records, trusts = _track_referrers(config, reports, rng_client)
+    good_trust, bad_trust = (list(column) for column in zip(*trusts))
+    return CombinationResult(records, good_trust, bad_trust, switch_step)
 
 
 def _history_observations(config: ExperimentConfig, profile: BehaviorProfile) -> List[Evidence]:
@@ -578,9 +561,7 @@ def _history_observations(config: ExperimentConfig, profile: BehaviorProfile) ->
     transaction stream draws ``tx_per_step`` outcomes at each X_t.
     """
     rng_behavior, rng_tx = _streams(config.seed, 2)
-    if isinstance(profile, Damping) and config.horizon is not None:
-        profile = replace(profile, horizon=config.horizon)
-    xs = behavior_sequence(profile, rng_behavior, config.timesteps)
+    xs = behavior_sequence(_with_horizon(profile, config), rng_behavior, config.timesteps)
     return [sample_transactions(x, config.tx_per_step, rng_tx) for x in xs]
 
 

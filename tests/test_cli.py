@@ -1,11 +1,21 @@
 import csv
 import io
 import json
+from dataclasses import fields
+from typing import get_args
 
 import pytest
 
-from evitrust.cli import cli_main
+from evitrust.cli import cli_main, parse_profile
+from evitrust.core import Evidence, expected_quality
 from evitrust.errors import ConvergenceError
+from evitrust.simulation import _PROFILES, BehaviorProfile, ReferrerProfile
+from evitrust.updates import (
+    accuracy_average,
+    accuracy_linear,
+    accuracy_max_certainty,
+    accuracy_sensitivity,
+)
 
 
 def run(capsys, *argv):
@@ -44,6 +54,20 @@ class TestAccuracyCommand:
                                "--observed", "1,1", "--report", "1.1,0.9")
             assert code == 0
             assert float(out) == pytest.approx(0.99, abs=0.01)
+
+    @pytest.mark.parametrize("name,want", [
+        ("linear", accuracy_linear(expected_quality(Evidence(3, 1)),
+                                   expected_quality(Evidence(2, 2)))),
+        ("maxcertainty", accuracy_max_certainty(Evidence(3, 1), expected_quality(Evidence(2, 2)))),
+        ("max-certainty", accuracy_max_certainty(Evidence(3, 1), expected_quality(Evidence(2, 2)))),
+        ("sensitivity", accuracy_sensitivity(expected_quality(Evidence(3, 1)), Evidence(2, 2))),
+        ("average", accuracy_average(expected_quality(Evidence(3, 1)), Evidence(2, 2))),
+    ])
+    def test_each_name_runs_its_measure(self, capsys, name, want):
+        code, out, _ = run(capsys, "accuracy", "--method", name,
+                           "--observed", "3,1", "--report", "2,2")
+        assert code == 0
+        assert out == f"{want:.10g}\n"
 
     def test_unknown_method_is_usage_error(self, capsys):
         code, _, err = run(capsys, "accuracy", "--method", "wizardry",
@@ -128,6 +152,16 @@ class TestSimulateCommand:
                          "--profile", "zigzag", "--timesteps", "5")
         assert code == 1
 
+    @pytest.mark.parametrize("spec", [
+        "periodic:5", "random:x", "probability:0.9,0.3", "momentum:0.1,0.5,0.9",
+    ])
+    def test_extra_profile_arguments_are_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "simulate", "--experiment", "history",
+                             "--profile", spec, "--timesteps", "5")
+        assert code == 1
+        assert "--profile" in err
+        assert out == ""
+
 
 class TestSweepCommand:
     def test_row_count_is_grid_times_profiles(self, capsys):
@@ -159,6 +193,13 @@ class TestSweepCommand:
         code, out, err = run(capsys, "sweep", "--profiles", "bogus", "--beta-grid", "0:1:0.5")
         assert code == 1
         assert "--profiles" in err and "bogus" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("specs", ["probability:0.9,0.3", "periodic,momentum:0.1,0.5,0.9"])
+    def test_extra_profile_arguments_are_usage_error(self, capsys, specs):
+        code, out, err = run(capsys, "sweep", "--profiles", specs, "--beta-grid", "0:1:0.5")
+        assert code == 1
+        assert "--profiles" in err
         assert out == ""
 
     def test_referrer_profile_rejected_for_history(self, capsys):
@@ -308,6 +349,23 @@ class TestExitCodes:
         assert flag in err
         assert out == ""
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "x"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--experiment", "history"],
+        ["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5"],
+    ])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, argv, seed):
+        code, out, err = run(capsys, *argv, f"--seed={seed}")
+        assert code == 1
+        assert "--seed" in err
+        assert out == ""
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--experiment", "history",
+                           "--timesteps", "3", "--seed", "18446744073709551615")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 4
+
     @pytest.mark.parametrize("switch", ["-3", "5", "99"])
     def test_switch_outside_run_is_usage_error(self, capsys, switch):
         code, out, err = run(capsys, "simulate", "--experiment", "combine",
@@ -367,3 +425,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "certainty", "1", "1")
         assert code == 3
         assert "stalled" in err
+
+
+# Arguments for every profile field, by field name.
+_FIELD_VALUES = {"p": 0.25, "horizon": 7, "gamma": 0.25, "psi": 0.75,
+                 "switch_step": 7, "exaggeration": 2.5}
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+def test_every_profile_name_parses_bare_and_at_full_arity(name):
+    cls = _PROFILES[name]
+    assert parse_profile(name) == cls()
+    params = fields(cls)
+    want = [_FIELD_VALUES[f.name] for f in params]
+    parsed = parse_profile(f"{name}:{','.join(map(str, want))}" if params else name)
+    assert type(parsed) is cls
+    got = [getattr(parsed, f.name) for f in params]
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
+
+
+def test_every_profile_class_has_a_cli_name():
+    classes = get_args(BehaviorProfile) + get_args(ReferrerProfile)
+    assert set(classes) == set(_PROFILES.values())

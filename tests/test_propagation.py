@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evitrust.core import Belief, Evidence, expected_quality, to_belief
+from evitrust.core import Belief, Evidence, expected_quality, from_belief, to_belief
 from evitrust.propagation import (
     ReferralPath,
     aggregate,
@@ -132,3 +133,23 @@ class TestCombineReferrals:
         ]
         combined = combine_referrals(paths)
         assert expected_quality(combined) == pytest.approx(0.5, abs=1e-6)
+
+    def test_single_path_is_exactly_the_discounted_report(self):
+        # The one-referrer experiment predicts through combine_referrals,
+        # whose sum starts at ⟨0, 0⟩; the result must equal the discounted
+        # report converted back, float for float.
+        rng = np.random.default_rng(11)
+        cases = [
+            (Evidence(3, 1), Evidence(0, 0)),  # empty report
+            (Evidence(0, 4), Evidence(6, 2)),  # trust with b = 0
+            (Evidence(0, 0), Evidence(6, 2)),  # vacuous trust
+        ]
+        for _ in range(40):
+            trust_n, report_n = 10.0 ** rng.uniform(-3, 4, size=2)
+            a, q = rng.uniform(0, 1, size=2)
+            cases.append((Evidence(trust_n * a, trust_n * (1 - a)),
+                          Evidence(report_n * q, report_n * (1 - q))))
+        for trust, report in cases:
+            b = to_belief(trust)
+            assert combine_referrals([ReferralPath(b, report)]) == from_belief(
+                concatenate(b, to_belief(report)))
