@@ -13,8 +13,8 @@ under one of three schemes:
 
 Every predictor is a fold with O(1) state: a running (discounted) sum and
 weight for the two means, the history state for TrustInHistory.  The
-experiment therefore scores each seller in one O(n) pass, advancing all
-predictors together.
+experiment therefore scores each seller under each predictor in one O(n)
+pass.
 
 Prediction errors are reported on the normalized scale (multiply by 4 for
 the 1-to-5 scale).
@@ -26,7 +26,7 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,44 +158,39 @@ def load_feedback_csv(path: str) -> List[FeedbackRecord]:
     return parse_feedback_csv(text)
 
 
-class _MeanPredictor:
-    """Discounted running mean Σ λ^age·v / Σ λ^age in O(1) state.
+def _mean_fold(values: Iterable[float], lam: float) -> Tuple[float, float, float]:
+    """Fold the discounted mean Σ λ^age·v / Σ λ^age over ``values``.
 
+    Returns the final sums (num, den) and the summed gap |num/den − v| of
+    each value after the first from the mean of the values before it.
     λ = 1 is the plain running mean; λ = 0 keeps only the newest value.
     """
-
-    def __init__(self, mode: AmazonMode, lam: float):
-        self.mode, self.lam = mode, lam
-        self.num = self.den = 0.0
-
-    def observe(self, v: float) -> None:
-        self.num = self.lam * self.num + v
-        self.den = self.lam * self.den + 1.0
-
-    def predict(self) -> float:
-        if self.den == 0.0:
-            raise ValueError(f"{self.mode.value} prediction requires a non-empty history")
-        return self.num / self.den
+    num = den = gap = 0.0
+    for v in values:
+        if den:
+            gap += abs(num / den - v)
+        num = lam * num + v
+        den = lam * den + 1.0
+    return num, den, gap
 
 
-class _HistoryPredictor:
-    """The self-tuning history fold; predicts the carried expected quality."""
+def _history_fold(values: Iterable[float], state: HistoryState) -> Tuple[HistoryState, float]:
+    """Thread ``values`` through the self-tuning history update from ``state``.
 
-    def __init__(self, state: HistoryState):
-        self.state = state
+    Returns the final state and the summed gap of each value after the
+    first from the carried expected quality before it.
+    """
+    gap = 0.0
+    for k, v in enumerate(values):
+        if k:
+            gap += abs(expected_quality(state.carried) - v)
+        state = history_update(state, _feedback_evidence(v)).state
+    return state, gap
 
-    def observe(self, v: float) -> None:
-        self.state = history_update(self.state, _feedback_evidence(v)).state
 
-    def predict(self) -> float:
-        return expected_quality(self.state.carried)
-
-
-def _predictor(config: AmazonConfig, state: Optional[HistoryState] = None):
-    mode = AmazonMode(config.mode)
-    if mode is AmazonMode.TRUST_IN_HISTORY:
-        return _HistoryPredictor(HistoryState() if state is None else state)
-    return _MeanPredictor(mode, 1.0 if mode is AmazonMode.UNWEIGHTED else config.lambda_)
+def _retention(mode: AmazonMode, config: AmazonConfig) -> float:
+    """λ of a mean mode: 1 for Unweighted, the config's for GeometricWeights."""
+    return 1.0 if mode is AmazonMode.UNWEIGHTED else config.lambda_
 
 
 def predict_feedback(
@@ -212,11 +207,15 @@ def predict_feedback(
     given, and predicts the carried evidence's expected quality.  The mean
     modes raise ValueError on an empty history.
     """
-    predictor = _predictor(config, state)
-    if state is None or not isinstance(predictor, _HistoryPredictor):
-        for v in history:
-            predictor.observe(v)
-    return predictor.predict()
+    mode = AmazonMode(config.mode)
+    if mode is AmazonMode.TRUST_IN_HISTORY:
+        if state is None:
+            state = _history_fold(history, HistoryState())[0]
+        return expected_quality(state.carried)
+    num, den, _ = _mean_fold(history, _retention(mode, config))
+    if den == 0.0:
+        raise ValueError(f"{mode.value} prediction requires a non-empty history")
+    return num / den
 
 
 @dataclass(frozen=True)
@@ -239,10 +238,10 @@ def run_amazon_experiment(
 ) -> List[SellerModeError]:
     """Predict every feedback from its predecessors, per seller and config.
 
-    Each seller takes one O(n) pass: every config keeps a streaming
-    predictor with O(1) state, predicts the next feedback, adds the gap to
-    its running total and then observes the feedback.  The first feedback
-    of a seller has no predecessors and is skipped for all predictors.
+    Each (seller, config) takes one O(n) fold with O(1) state: predict the
+    next feedback, add the gap to the running total, then observe the
+    feedback.  The first feedback of a seller has no predecessors and is
+    skipped for all predictors.
     Sellers with fewer than two feedbacks cannot be scored and are skipped
     entirely.  Returns one row per (seller, config), sellers in
     first-appearance order.
@@ -256,18 +255,14 @@ def run_amazon_experiment(
         if len(feedback) < 2:
             continue
         values = [normalize_rating(rec.rating) for rec in feedback]
-        predictors = [_predictor(config) for config in configs]
-        totals = [0.0] * len(predictors)
-        for p in predictors:
-            p.observe(values[0])
-        for actual in values[1:]:
-            for k, p in enumerate(predictors):
-                totals[k] += abs(p.predict() - actual)
-                p.observe(actual)
-        for config, total in zip(configs, totals):
+        for config in configs:
             mode = AmazonMode(config.mode)
+            if mode is AmazonMode.TRUST_IN_HISTORY:
+                gap = _history_fold(values, HistoryState())[1]
+            else:
+                gap = _mean_fold(values, _retention(mode, config))[2]
             lam = config.lambda_ if mode is AmazonMode.GEOMETRIC else None
-            results.append(SellerModeError(seller, mode, lam, total / (len(values) - 1)))
+            results.append(SellerModeError(seller, mode, lam, gap / (len(values) - 1)))
     return results
 
 

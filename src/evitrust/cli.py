@@ -254,7 +254,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--experiment", required=True, choices=("referrer", "combine", "history"))
     p.add_argument("--profile", type=parse_profile, default=None,
                    help="provider/referrer profile, e.g. probability:0.9, periodic, rumor:50,10")
-    p.add_argument("--method", type=_parse_update_method, default=UpdateMethod.AVERAGE_BETA)
+    p.add_argument("--method", type=_parse_update_method, default=None,
+                   help="referrer update method for the referrer and combine experiments "
+                        "(default AverageBeta)")
     p.add_argument("--mode", type=_parse_history_mode, default=HistoryMode.TRUST_IN_HISTORY,
                    help="history experiment mode: Amazon | FixedBeta | TrustInHistory")
     p.add_argument("--beta", type=_parse_rate, default=0.2)
@@ -268,8 +270,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--profiles", required=True, type=_split_profiles,
                    help="comma-separated profile specs, e.g. probability:0.9,periodic")
     p.add_argument("--beta-grid", required=True, type=_parse_grid, metavar="LO:HI:STEP")
-    p.add_argument("--method", type=_parse_update_method, default=UpdateMethod.AVERAGE_BETA,
-                   help="update method for referrer sweeps")
+    p.add_argument("--method", type=_parse_update_method, default=None,
+                   help="update method for referrer sweeps (default AverageBeta)")
     p.add_argument("--mode", type=_parse_history_mode, default=HistoryMode.FIXED_BETA,
                    help="history mode for history sweeps (default FixedBeta)")
     p.add_argument("--seeds", type=_parse_count, default=5,
@@ -340,11 +342,24 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
         timesteps=args.timesteps,
         tx_per_step=args.tx,
         seed=args.seed,
-        method=getattr(args, "method", UpdateMethod.AVERAGE_BETA),
+        method=args.method,
         beta=getattr(args, "beta", 0.2),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _resolve_method(args) -> UpdateMethod:
+    """--method of a simulate or sweep run, AverageBeta when not given; a
+    usage error for the history experiment, which has no referrers."""
+    if args.experiment == "history":
+        if args.method is not None:
+            raise _UsageError("--method does not apply to the history experiment, which has "
+                              "no referrers; choose its update with --mode")
+        return UpdateMethod.AVERAGE_BETA
+    method = UpdateMethod.AVERAGE_BETA if args.method is None else args.method
+    _require_referrer_method(method)
+    return method
 
 
 def _require_behavior_profile(profile) -> None:
@@ -353,13 +368,15 @@ def _require_behavior_profile(profile) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    if args.experiment != "history":
-        _require_referrer_method(args.method)
+    args.method = _resolve_method(args)
     cfg = _experiment_config(args)
     if args.experiment == "referrer":
         profile = args.profile if args.profile is not None else Truthful()
         records = run_referrer_experiment(cfg, profile)
     elif args.experiment == "combine":
+        if args.profile is not None:
+            raise _UsageError("--profile does not apply to the combine experiment, whose "
+                              "referrers are a fixed good and corrupted pair (see --switch)")
         if not 0 <= args.switch < args.timesteps:
             raise _UsageError(f"--switch must be in [0, {args.timesteps}) for "
                               f"--timesteps {args.timesteps}, got {args.switch}")
@@ -374,12 +391,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.seed + args.seeds - 1 > 2**64 - 1:
+        raise _UsageError(f"--seed {args.seed} with --seeds {args.seeds} runs up to seed "
+                          f"{args.seed + args.seeds - 1}, past 2**64 - 1")
     seeds = [args.seed + k for k in range(args.seeds)]
+    args.method = _resolve_method(args)
     if args.experiment == "history":
         for profile in args.profiles:
             _require_behavior_profile(profile)
-    else:
-        _require_referrer_method(args.method)
     header = ["profile", "method", "beta", "error"]
     rows = []
     for profile in args.profiles:

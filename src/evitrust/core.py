@@ -22,7 +22,12 @@ crossings x_lo < x_hi of f and two incomplete-beta tails:
 using I_x(a, b) = 1 − I_{1−x}(b, a) for the right tail.  The left crossing
 is solved in t = log x and the right one in u = log(1−x), so a crossing at
 1 − 10⁻²⁸⁹ (near-one-sided evidence) keeps its full precision instead of
-rounding onto 1.
+rounding onto 1.  At a crossing f(x) = 1, so each tail is
+
+    I_x(a, b) = x(1−x)/a · CF(x; a, b),
+
+with CF the incomplete-beta continued fraction of :mod:`evitrust.numerics`
+(mirrored past (a+1)/(a+b+2)): no lgamma and no exp.
 
 The belief-space view is a triple ⟨b, d, u⟩ (belief, disbelief, uncertainty)
 summing to 1.  The two views are linked by α = r/(r+s) and c:
@@ -31,21 +36,26 @@ summing to 1.  The two views are linked by α = r/(r+s) and c:
 
 The inverse direction fixes α and searches for the evidence total that
 reproduces the certainty 1−u.  Certainty is strictly increasing in the total
-at fixed α, so Brent's method on the log of the total finds it to machine
-precision in about ten certainty evaluations.
+at fixed α.  One-sided evidence has the closed form
+c(n) = n/(n+1)·(n+1)^(−1/n), which the inverse solves with no certainty
+evaluation; otherwise it starts from the total at which a normal density of
+the same mean and variance reaches the target and takes secant steps on the
+log of the total, to machine precision in about five certainty evaluations.
 
-All types are immutable and all functions are pure.
+All types are immutable and all functions are pure; :func:`certainty`
+memoizes its results in a bounded cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, List, Optional, Tuple
 
 from .errors import ConvergenceError
-from .numerics import log_beta, regularized_incomplete_beta
+from .numerics import _incomplete_beta, log_beta
 
 __all__ = [
     "Evidence",
@@ -62,10 +72,14 @@ __all__ = [
 # out of supported range (their certainty is indistinguishable from 1 anyway).
 MAX_EVIDENCE_TOTAL = 1e6
 
-# Iteration caps; convergence takes about 5 Newton steps per crossing and
-# 10 Brent steps per inverse.
+# Iteration caps; convergence takes at most 4 Newton steps per crossing and
+# about 5 secant steps per inverse.
 _MAX_NEWTON_STEPS = 60
-_MAX_BRENT_STEPS = 100
+_MAX_SOLVE_STEPS = 100
+
+_TWO_PI = 2.0 * math.pi
+_INV_SQRT_2 = math.sqrt(0.5)
+_INV_SQRT_2PI = 1.0 / math.sqrt(_TWO_PI)
 
 _BELIEF_SUM_TOL = 1e-9
 
@@ -183,21 +197,25 @@ def _log_crossing(a: float, b: float, lbeta: float, t_peak: float, height: float
     density at the peak (> 0).  g(t) = a·t + b·log(1 − eᵗ) − lbeta is
     concave and increasing up to t_peak, and g(lbeta/a) = b·log(1 − eᵗ) ≤ 0,
     so [lbeta/a, t_peak] brackets the root.  Newton starts from the
-    Gaussian-width estimate of the crossing; a step that leaves the bracket
-    on the left is clamped to its left end, from where Newton on a concave
-    function climbs monotonically.  Returns -inf when the crossing lies
-    below the smallest float.
+    estimate of the crossing that a cubic expansion of g at the peak gives;
+    a step that leaves the bracket on the left is clamped to its left end,
+    from where Newton on a concave function climbs monotonically.  Returns
+    -inf when the crossing lies below the smallest float.
     """
     lo, hi = lbeta / a, t_peak
     if lo == -math.inf:
         return lo
     t = lo
     if b > 0.0:
-        # g ≈ height − ½·(a·n/b)·(t − t_peak)² near the peak.  Starting
-        # here bounds the solve at 5 steps; from lbeta/a it can take 12.
-        guess = t_peak - math.sqrt(2.0 * height * b / (a * (a + b)))
-        if lo < guess < hi:
-            t = guess
+        # g ≈ height − ½A·δ² + ⅙B·δ³ in δ = t − t_peak, with A = a·n/b and
+        # B = −A·(b + 2a)/b.  The quadratic's root δ₀, corrected for the
+        # cubic term (or alone, if the correction leaves the bracket), bounds
+        # the solve at 4 steps; from lbeta/a it can take 12.
+        d0 = -math.sqrt(2.0 * height * b / (a * (a + b)))
+        for guess in (t_peak + d0 * (1.0 - (b + 2.0 * a) * d0 / (6.0 * b)), t_peak + d0):
+            if lo < guess < hi:
+                t = guess
+                break
     for _ in range(_MAX_NEWTON_STEPS):
         one_minus_x = -math.expm1(t)
         g = a * t + b * math.log(one_minus_x) - lbeta
@@ -213,7 +231,9 @@ def _log_crossing(a: float, b: float, lbeta: float, t_peak: float, height: float
             step_to = 0.5 * (t + hi)
         elif step_to < lo:
             step_to = lo
-        if abs(step_to - t) <= 1e-10 * max(1.0, abs(t)):
+        # t <= t_peak <= 0, so the scale max(1, |t|) is max(1, −t).
+        tol = -1e-10 * t if t < -1.0 else 1e-10
+        if -tol <= step_to - t <= tol:
             # Quadratic convergence: step_to is already exact to ~1e-20.
             return step_to
         t = step_to
@@ -228,14 +248,40 @@ def certainty(e: Evidence) -> float:
     left crossing x_lo is solved in log x and the right one through
     w = 1 − x_hi in log(1 − x), each by safeguarded Newton; the right tail
     uses the symmetry I_x(a, b) = 1 − I_{1−x}(b, a), so 1 − x is never
-    rounded away.  One-sided evidence has a single crossing (r = 0 has no
-    left one, s = 0 no right one).  A crossing's error enters c only at
-    second order, because f = 1 there.
+    rounded away.  At a crossing f = 1, so the tail's prefactor
+    xʳ⁺¹(1−x)ˢ⁺¹/B(r+1, s+1) is x(1−x).  One-sided evidence has a single
+    crossing (r = 0 has no left one, s = 0 no right one).  A crossing's
+    error enters the width minus the mass only at second order, because
+    f = 1 there, but the prefactor takes f's residual at the solved
+    crossing at first order: near totals of 1e6, where log_beta rounds by
+    about 2e-9, c is off by up to about 6e-13.
+
+    Results are memoized on ⟨r, s⟩ (a bounded cache), so repeated evidence,
+    such as the few rating values of a feedback stream, is evaluated once.
     """
-    r, s = e.r, e.s
-    n = r + s
-    if n == 0.0:
+    return _certainty(e.r, e.s)
+
+
+@functools.lru_cache(maxsize=4096)
+def _certainty(r: float, s: float) -> float:
+    if r + s == 0.0:
         return 0.0
+    c = 0.0
+    for x, y, a, b in _unit_crossings(r, s):
+        # At a crossing f(x) = 1: the tail's prefactor x^a·y^b/B(a, b) is x·y.
+        c += x - _incomplete_beta(x, y, a, b, x * y)
+    return min(max(c, 0.0), 1.0 - 1e-15)
+
+
+def _unit_crossings(r: float, s: float) -> List[Tuple[float, float, float, float]]:
+    """(x, 1 − x, a, b) at each unit crossing of the density of ⟨r, s⟩ ≠ ⟨0, 0⟩.
+
+    The left crossing x_lo comes with its tail's shapes (r+1, s+1), and the
+    right one as w = 1 − x_hi with (s+1, r+1); one-sided evidence has only
+    one.  There are none when the density never rises above uniform (only
+    by rounding, at tiny totals).
+    """
+    n = r + s
     lbeta = log_beta(r + 1.0, s + 1.0)
     # log x and log(1 − x) at the peak x = r/n, from the logs of the counts:
     # r/n or s/n rounds to 0 when one count is subnormal.
@@ -247,17 +293,16 @@ def certainty(e: Evidence) -> float:
     if s > 0.0:
         u_peak = math.log(s) - log_n
         height += s * u_peak
+    crossings = []
     if height <= 0.0:
-        # Density never rises above uniform (only by rounding, at tiny totals).
-        return 0.0
-    c = 0.0
+        return crossings
     if r > 0.0:
-        x_lo = math.exp(_log_crossing(r, s, lbeta, t_peak, height))
-        c += x_lo - regularized_incomplete_beta(x_lo, r + 1.0, s + 1.0)
+        t = _log_crossing(r, s, lbeta, t_peak, height)
+        crossings.append((math.exp(t), -math.expm1(t), r + 1.0, s + 1.0))
     if s > 0.0:
-        w = math.exp(_log_crossing(s, r, lbeta, u_peak, height))
-        c += w - regularized_incomplete_beta(w, s + 1.0, r + 1.0)
-    return min(max(c, 0.0), 1.0 - 1e-15)
+        u = _log_crossing(s, r, lbeta, u_peak, height)
+        crossings.append((math.exp(u), -math.expm1(u), s + 1.0, r + 1.0))
+    return crossings
 
 
 def to_belief(e: Evidence) -> Belief:
@@ -269,53 +314,93 @@ def to_belief(e: Evidence) -> Belief:
     return Belief(e.r / e.total * c, e.s / e.total * c, 1.0 - c)
 
 
-def _brent_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
-                xtol: float, what: str) -> float:
-    """A root of f in [a, b] by Brent's method; fa = f(a) and fb = f(b) must
-    differ in sign (Brent 1973, ch. 4, procedure zero).
+def _one_sided(n: float) -> Tuple[float, float]:
+    """c(⟨n, 0⟩) = n/(n+1)·(n+1)^(−1/n) for n > 0, and its slope dc/d(log n).
 
-    Inverse quadratic or secant interpolation is taken when it stays well
-    inside the bracket and shrinks fast enough, bisection otherwise.  Stops
-    when the bracket is narrower than about xtol.  ``what`` names the solve
-    in the :class:`ConvergenceError` raised if the step budget runs out.
+    f = (n+1)xⁿ crosses 1 at x₀ = (n+1)^(−1/n), and c = x₀ − x₀ⁿ⁺¹ there;
+    d(log c)/d(log n) = log(n+1)/n.
     """
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(_MAX_BRENT_STEPS):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * xtol
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
+    log_n1_per_n = math.log1p(n) / n
+    c = n / (n + 1.0) * math.exp(-log_n1_per_n)
+    return c, c * log_n1_per_n
+
+
+def _gaussian_log_total(spread: float, target: float) -> Optional[Tuple[float, float]]:
+    """The log total at which a normal density with variance spread/n has
+    certainty ``target``, and the slope dc/d(log n) there; None when its
+    crossings would lie less than one standard deviation from the mean.
+
+    ``spread`` is α(1−α), so the normal density has the mean and variance
+    of the evidence density for large n.  With σ² = spread/n it crosses 1
+    at z standard deviations from the mean, where φ(z) = σ, and then
+    c = erf(z/√2) − 2zσ.  That is increasing in z with dc/dz = 2z²φ(z), so
+    Newton on z solves it, and n = spread/φ(z)².  On log n the slope is
+    dc/d(log n) = z·φ(z).
+    """
+    z = 2.0
+    for _ in range(_MAX_NEWTON_STEPS):
+        phi = math.exp(-0.5 * z * z) * _INV_SQRT_2PI
+        step = (math.erf(z * _INV_SQRT_2) - 2.0 * z * phi - target) / (2.0 * z * z * phi)
+        z = z - step if step < z else 0.5 * z
+        if abs(step) <= 1e-9 * z:
+            break
+    if not z >= 1.0:
+        return None
+    return math.log(spread * _TWO_PI) + z * z, z * math.exp(-0.5 * z * z) * _INV_SQRT_2PI
+
+
+def _solve_log_total(f: Callable[[float], float], x: float, slope: float, target: float,
+                     what: Callable[[], str]) -> Optional[float]:
+    """The log total L in [log(e·target), log MAX_EVIDENCE_TOTAL] where the
+    increasing function f(L) = c(e^L) − target vanishes, or None when
+    f(log MAX_EVIDENCE_TOTAL) < −1e-9.
+
+    Starts at ``x`` with the estimated slope ``slope`` and takes secant
+    steps, falling back to bisection when a step leaves the bracket known so
+    far.  c(n) <= n/e at every α, so f < 0 at the left end without an
+    evaluation; the right end is evaluated only when a step reaches it, and
+    within 1e-9 of the target it is the answer.  The solve stops when |f| is
+    within the rounding of c (2ε) plus the slope times 1e-12, so the
+    total is found to a relative 1e-12 or as far as c resolves it.
+    ``what()`` names the solve in the :class:`ConvergenceError` raised if the
+    step budget runs out.
+    """
+    lo, hi = math.log(math.e * target), math.log(MAX_EVIDENCE_TOTAL)
+    hi_known = False  # whether f(hi) > 0 has been seen
+    x = min(max(x, lo), hi)
+    x_prev = f_prev = None
+    for _ in range(_MAX_SOLVE_STEPS):
+        fx = f(x)
+        if x == hi and not hi_known:
+            if fx < -1e-9:
+                return None
+            if fx <= 0.0:
+                return hi
+        if fx > 0.0:
+            hi, hi_known = x, True
+        elif fx < 0.0:
+            lo = x
         else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
+            return x
+        if x_prev is not None and fx != f_prev:
+            slope = (fx - f_prev) / (x - x_prev)
+        x_prev, f_prev = x, fx
+        if slope > 0.0:
+            step_to = x - fx / slope
+            if abs(fx) <= slope * 1e-12 + 2.0 * sys.float_info.epsilon:
+                return min(max(step_to, lo), hi)
+            if lo < step_to < hi or (step_to >= hi and not hi_known):
+                x = min(step_to, hi)
+                continue
+        if not hi_known:
+            x = hi
+        elif hi - lo <= 1e-12:
+            return 0.5 * (lo + hi)
+        else:
+            x = 0.5 * (lo + hi)
     raise ConvergenceError(
-        f"Brent's method did not converge in {_MAX_BRENT_STEPS} steps for {what}",
-        best_estimate=b,
+        f"the evidence-total solve did not converge in {_MAX_SOLVE_STEPS} steps for {what()}",
+        best_estimate=math.exp(x),
     )
 
 
@@ -323,9 +408,16 @@ def from_belief(t: Belief) -> Evidence:
     """Belief → evidence: invert :func:`to_belief` for the evidence total.
 
     The returned evidence has expected quality α = b/(b+d) and certainty
-    1−u; the total is found by Brent's method on its logarithm, to a
-    relative precision of about 1e-12.  A belief with no belief or
-    disbelief mass (u = 1) maps to ⟨0, 0⟩.
+    1−u; the total is found on its logarithm to a relative precision of
+    about 1e-12.  A belief with no belief or disbelief mass (u = 1) maps to
+    ⟨0, 0⟩.
+
+    One-sided beliefs (α = 0 or 1) are solved on the closed form
+    c(n) = n/(n+1)·(n+1)^(−1/n), with no certainty evaluation.  Otherwise
+    the solve starts from the larger of that total (conflict only lowers
+    certainty, so it is never too large) and the total at which a normal
+    density of the same mean and variance reaches the target, and takes
+    secant steps on :func:`certainty`: about five evaluations.
 
     The domain is u > 0 with the target certainty reachable by a total of at
     most :data:`MAX_EVIDENCE_TOTAL`: a dogmatic belief (u = 0) has no finite
@@ -338,28 +430,34 @@ def from_belief(t: Belief) -> Evidence:
     if target <= 0.0 or mass <= 0.0:
         return Evidence(0.0, 0.0)
     share_r, share_s = t.b / mass, t.d / mass
-    what = f"belief {t} (alpha={share_r!r})"
+
+    def what() -> str:
+        return f"belief {t} (alpha={share_r!r})"
+
+    def one_sided_shortfall(log_total: float) -> float:
+        return _one_sided(math.exp(log_total))[0] - target
 
     def shortfall(log_total: float) -> float:
         total = math.exp(log_total)
         return certainty(Evidence(share_r * total, share_s * total)) - target
 
-    hi = math.log(MAX_EVIDENCE_TOTAL)
-    f_hi = shortfall(hi)
-    if f_hi < -1e-9:
+    # c(n) <= n/e, so the one-sided solve starts at or below its root.
+    start = math.e * target
+    log_total = _solve_log_total(one_sided_shortfall, math.log(start), _one_sided(start)[1],
+                                 target, what)
+    if log_total is not None and share_r > 0.0 and share_s > 0.0:
+        slope = _one_sided(math.exp(log_total))[1]
+        gaussian = _gaussian_log_total(share_r * share_s, target)
+        if gaussian is not None and gaussian[0] > log_total:
+            log_total, slope = gaussian
+        log_total = _solve_log_total(shortfall, log_total, slope, target, what)
+    if log_total is None:
+        # Out of reach one-sided means out of reach at every α.
+        best = certainty(Evidence(share_r * MAX_EVIDENCE_TOTAL, share_s * MAX_EVIDENCE_TOTAL))
         raise ConvergenceError(
             f"no evidence total in [0, {MAX_EVIDENCE_TOTAL:g}] reaches certainty {target!r} "
-            f"for {what}",
-            best_estimate=f_hi + target,
+            f"for {what()}",
+            best_estimate=best,
         )
-    if f_hi <= 0.0:
-        log_total = hi
-    else:
-        # c(n) <= n/e at every α (the slope of c at n = 0 is at most 1/e),
-        # so a total of e·(1−u) cannot overshoot the target.
-        lo = math.log(math.e * target)
-        f_lo = shortfall(lo)
-        log_total = (lo if f_lo >= 0.0
-                     else _brent_root(shortfall, lo, hi, f_lo, f_hi, 1e-12, what))
     total = math.exp(log_total)
     return Evidence(share_r * total, share_s * total)

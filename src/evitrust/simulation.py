@@ -47,6 +47,9 @@ from itertools import accumulate
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, get_args
 
 import numpy as np
+# numpy loads numpy.random lazily on first use; import it here, with the
+# package, so that the first draw does not pay for the import.
+import numpy.random
 
 from .core import Evidence, _quality, certainty, expected_quality, to_belief
 from .propagation import ReferralPath, combine_referrals

@@ -360,6 +360,32 @@ class TestExitCodes:
         assert "--seed" in err
         assert out == ""
 
+    def test_sweep_seed_run_past_64_bits_is_usage_error(self, capsys):
+        # --seeds 5 (the default) from the largest seed derives 2**64 + 3.
+        code, out, err = run(capsys, "sweep", "--profiles", "periodic", "--beta-grid",
+                             "0:1:0.5", "--seed", "18446744073709551615")
+        assert code == 1
+        assert "--seed " in err and "--seeds" in err
+        assert out == ""
+
+    def test_sweep_seed_run_ending_at_largest_seed_accepted(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5",
+                           "--timesteps", "3", "--seeds", "5", "--seed", "18446744073709551611")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 4
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["simulate", "--experiment", "combine", "--profile", "rumor:5,10"], "--profile"),
+        (["simulate", "--experiment", "history", "--method", "Josang"], "--method"),
+        (["sweep", "--experiment", "history", "--profiles", "periodic",
+          "--beta-grid", "0:1:0.5", "--method", "Josang"], "--method"),
+    ])
+    def test_flag_the_experiment_ignores_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, "--timesteps", "3")
+        assert code == 1
+        assert flag in err
+        assert out == ""
+
     def test_largest_seed_accepted(self, capsys):
         code, out, _ = run(capsys, "simulate", "--experiment", "history",
                            "--timesteps", "3", "--seed", "18446744073709551615")

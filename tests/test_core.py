@@ -15,6 +15,7 @@ from evitrust.core import (
     pcdf,
     to_belief,
 )
+from evitrust import core
 from evitrust.errors import ConvergenceError
 
 
@@ -204,6 +205,45 @@ class TestCertaintyAcrossDomain:
             back = from_belief(to_belief(e))
             assert back.r == pytest.approx(e.r, rel=1e-8), (r, s)
             assert back.s == pytest.approx(e.s, rel=1e-8), (r, s)
+
+    def test_repeat_calls_return_equal_floats(self):
+        pairs = _log_uniform_pairs(11, 50) + [(8608.0, 0.0138), (7.5, 2.5), (0.0, 45.0)]
+        first = [certainty(Evidence(r, s)) for r, s in pairs]
+        assert [certainty(Evidence(r, s)) for r, s in pairs] == first
+        core._certainty.cache_clear()
+        assert [certainty(Evidence(r, s)) for r, s in pairs] == first
+
+
+def _counting_certainty(monkeypatch):
+    """Count the certainty evaluations that from_belief makes."""
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return certainty(e)
+
+    monkeypatch.setattr(core, "certainty", counted)
+    return calls
+
+
+class TestFromBeliefSolve:
+    @pytest.mark.parametrize("n", [1e-6, 0.37, 1.0, 45.0, 8608.0, 1e6])
+    def test_one_sided_inverts_the_closed_form_without_certainty(self, monkeypatch, n):
+        calls = _counting_certainty(monkeypatch)
+        c = _one_sided(n)
+        pos = from_belief(Belief(c, 0.0, 1.0 - c))
+        neg = from_belief(Belief(0.0, c, 1.0 - c))
+        assert calls == []
+        assert pos.r == pytest.approx(n, rel=1e-9) and pos.s == 0.0
+        assert neg.s == pos.r and neg.r == 0.0
+
+    def test_warm_start_needs_few_certainty_evaluations(self, monkeypatch):
+        beliefs = [to_belief(Evidence(r, s)) for r, s in _log_uniform_pairs(7, 200)
+                   if r + s <= MAX_EVIDENCE_TOTAL]
+        calls = _counting_certainty(monkeypatch)
+        for b in beliefs:
+            from_belief(b)
+        assert len(calls) / len(beliefs) <= 6.0
 
 
 class TestBeliefConversion:

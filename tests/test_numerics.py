@@ -1,11 +1,23 @@
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import betainc  # test-only oracle (the test extra)
 
+import evitrust
 from conftest import DEFAULT_TOLERANCE, Tolerance, integrate
+from evitrust.core import _unit_crossings
 from evitrust.errors import ConvergenceError
-from evitrust.numerics import log_beta, log_gamma, regularized_incomplete_beta
+from evitrust.numerics import (
+    _incomplete_beta,
+    log_beta,
+    log_gamma,
+    regularized_incomplete_beta,
+)
 
 
 class TestLogGamma:
@@ -115,6 +127,46 @@ class TestRegularizedIncompleteBeta:
             regularized_incomplete_beta(1.1, 1.0, 1.0)
         with pytest.raises(ValueError):
             regularized_incomplete_beta(0.5, 0.0, 1.0)
+
+    def test_shape_beyond_step_cap_raises(self):
+        with pytest.raises(ConvergenceError, match="continued fraction"):
+            regularized_incomplete_beta(0.5, 1e14, 1e14)
+
+
+def _crossing_cases():
+    """400 log-uniform pairs with totals up to 1e6, plus one-sided and
+    near-one-sided edges (a right crossing at 1 − 1e-289, a subnormal count)."""
+    rng = np.random.default_rng(20261018)
+    pairs = []
+    for _ in range(400):
+        r, s = 10.0 ** rng.uniform(-6.0, 6.0, size=2)
+        scale = min(1.0, 1e6 / (r + s))
+        pairs.append((r * scale, s * scale))
+    pairs += [(8608.0, 0.0138), (2.0, 5e-324), (1.1e-4, 1.95e5), (6.7e5, 6.5e-4)]
+    pairs += [(n, 0.0) for n in (1e-6, 0.37, 1.0, 45.0, 8608.0, 1e6)]
+    return pairs
+
+
+class TestCrossingTail:
+    """The continued-fraction tail against scipy's betainc (TOMS 708), a
+    test-only oracle, at the unit crossings where certainty evaluates it."""
+
+    def test_matches_betainc_at_unit_crossings(self):
+        checked = 0
+        for r, s in _crossing_cases():
+            for x, y, a, b in _unit_crossings(r, s):
+                want = float(betainc(a, b, x))
+                assert abs(_incomplete_beta(x, y, a, b, x * y) - want) <= 1e-12, (r, s, x)
+                assert abs(regularized_incomplete_beta(x, a, b) - want) <= 1e-12, (r, s, x)
+                checked += 1
+        assert checked > 800
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evitrust.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, evitrust.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestIntegrate:
