@@ -32,8 +32,8 @@ import numpy as np
 
 from .core import Evidence, expected_quality
 from .errors import FeedbackFormatError
-from .simulation import BehaviorProfile, Probability, behavior_sequence
-from .updates import HistoryState, history_update
+from .simulation import BehaviorProfile, Probability, _history_fold, behavior_sequence
+from .updates import HistoryState
 
 __all__ = [
     "FeedbackRecord",
@@ -174,20 +174,6 @@ def _mean_fold(values: Iterable[float], lam: float) -> Tuple[float, float, float
     return num, den, gap
 
 
-def _history_fold(values: Iterable[float], state: HistoryState) -> Tuple[HistoryState, float]:
-    """Thread ``values`` through the self-tuning history update from ``state``.
-
-    Returns the final state and the summed gap of each value after the
-    first from the carried expected quality before it.
-    """
-    gap = 0.0
-    for k, v in enumerate(values):
-        if k:
-            gap += abs(expected_quality(state.carried) - v)
-        state = history_update(state, _feedback_evidence(v)).state
-    return state, gap
-
-
 def _retention(mode: AmazonMode, config: AmazonConfig) -> float:
     """λ of a mean mode: 1 for Unweighted, the config's for GeometricWeights."""
     return 1.0 if mode is AmazonMode.UNWEIGHTED else config.lambda_
@@ -210,7 +196,9 @@ def predict_feedback(
     mode = AmazonMode(config.mode)
     if mode is AmazonMode.TRUST_IN_HISTORY:
         if state is None:
-            state = _history_fold(history, HistoryState())[0]
+            state = HistoryState()
+            for _, upd in _history_fold(map(_feedback_evidence, history)):
+                state = upd.state
         return expected_quality(state.carried)
     num, den, _ = _mean_fold(history, _retention(mode, config))
     if den == 0.0:
@@ -258,7 +246,12 @@ def run_amazon_experiment(
         for config in configs:
             mode = AmazonMode(config.mode)
             if mode is AmazonMode.TRUST_IN_HISTORY:
-                gap = _history_fold(values, HistoryState())[1]
+                # Each feedback after the first against the carried evidence before it.
+                fold = _history_fold(map(_feedback_evidence, values))
+                next(fold)
+                gap = 0.0
+                for (carried, _), v in zip(fold, values[1:]):
+                    gap += abs(expected_quality(carried) - v)
             else:
                 gap = _mean_fold(values, _retention(mode, config))[2]
             lam = config.lambda_ if mode is AmazonMode.GEOMETRIC else None

@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import fields
 from importlib import resources
-from typing import List, Optional, Sequence, get_args
+from typing import List, Optional, Sequence, Tuple, get_args
 
 from .amazon import (
     AmazonConfig,
@@ -88,30 +88,15 @@ _ACCURACY_MEASURES = {
 _ACCURACY_MEASURES["max-certainty"] = _ACCURACY_MEASURES["maxcertainty"]
 
 
-class _EvidencePair:
-    """Lazily validated ⟨r, s⟩ flag value.
-
-    Syntax problems are usage errors, but domain violations (negative
-    counts) are data errors, so Evidence construction is deferred to
-    command execution.
-    """
-
-    def __init__(self, r: float, s: float):
-        self.r, self.s = r, s
-
-    def build(self) -> Evidence:
-        return Evidence(self.r, self.s)
-
-
-def _parse_evidence(text: str) -> _EvidencePair:
+def _parse_evidence(text: str) -> Tuple[float, float]:
+    """Parse 'r,s'; negative counts are left to Evidence, as a data error."""
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'r,s', got {text!r}")
     try:
-        r, s = float(parts[0]), float(parts[1])
+        return float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected two numbers 'r,s', got {text!r}")
-    return _EvidencePair(r, s)
 
 
 def _parse_count(text: str) -> int:
@@ -219,70 +204,75 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_parse_seed, default=0, help="base RNG seed (default 0)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format for tabular data (default csv)")
-    common.add_argument("--out", metavar="FILE", default=None,
-                        help="write output to FILE instead of stdout")
+def _add_command(sub, name: str, about: str, *shared: str) -> _Parser:
+    """A subcommand with --out and those of --format and --seed that it reads."""
+    p = sub.add_parser(name, help=about)
+    p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+    if "--format" in shared:
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format for tabular data (default csv)")
+    if "--seed" in shared:
+        p.add_argument("--seed", type=_parse_seed, default=0, help="base RNG seed (default 0)")
+    return p
 
+
+def _build_parser() -> _Parser:
     parser = _Parser(prog="evitrust", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("certainty", parents=[common], help="certainty of evidence ⟨r, s⟩")
+    p = _add_command(sub, "certainty", "certainty of evidence ⟨r, s⟩")
     p.add_argument("r", type=float)
     p.add_argument("s", type=float)
 
-    p = sub.add_parser("accuracy", parents=[common], help="accuracy q of a report vs. an observation")
+    p = _add_command(sub, "accuracy", "accuracy q of a report vs. an observation")
     p.add_argument("--method", required=True,
                    help="linear | max-certainty | sensitivity | average")
     p.add_argument("--observed", required=True, type=_parse_evidence, metavar="R,S")
     p.add_argument("--report", required=True, type=_parse_evidence, metavar="R,S")
 
-    p = sub.add_parser("update", parents=[common], help="one trust update of a report's source")
+    p = _add_command(sub, "update", "one trust update of a report's source")
     p.add_argument("--method", required=True, type=_parse_update_method,
                    help=" | ".join(m.value for m in UpdateMethod if m is not UpdateMethod.AVERAGE_ALPHA))
     p.add_argument("--beta", type=_parse_rate, default=0.2, help="forgetting rate (default 0.2)")
     p.add_argument("--observed", required=True, type=_parse_evidence, metavar="R,S")
     p.add_argument("--report", required=True, type=_parse_evidence, metavar="R,S")
-    p.add_argument("--prior", type=_parse_evidence, default=_EvidencePair(1.0, 1.0), metavar="R,S",
+    p.add_argument("--prior", type=_parse_evidence, default=(1.0, 1.0), metavar="R,S",
                    help="prior trust in the source (default 1,1)")
 
-    p = sub.add_parser("simulate", parents=[common], help="run one experiment, write the series")
+    # The run-dependent flags default to None; _RUN_FLAGS holds their defaults.
+    p = _add_command(sub, "simulate", "run one experiment, write the series", "--format", "--seed")
     p.add_argument("--experiment", required=True, choices=("referrer", "combine", "history"))
-    p.add_argument("--profile", type=parse_profile, default=None,
-                   help="provider/referrer profile, e.g. probability:0.9, periodic, rumor:50,10")
-    p.add_argument("--method", type=_parse_update_method, default=None,
-                   help="referrer update method for the referrer and combine experiments "
-                        "(default AverageBeta)")
-    p.add_argument("--mode", type=_parse_history_mode, default=HistoryMode.TRUST_IN_HISTORY,
-                   help="history experiment mode: Amazon | FixedBeta | TrustInHistory")
-    p.add_argument("--beta", type=_parse_rate, default=0.2)
+    p.add_argument("--profile", type=parse_profile, help="e.g. periodic, rumor:50,10 (referrer, "
+                   "default truthful; history, default probability:0.9)")
+    p.add_argument("--method", type=_parse_update_method,
+                   help="referrer update (referrer and combine; default AverageBeta)")
+    p.add_argument("--mode", type=_parse_history_mode,
+                   help="Amazon | FixedBeta | TrustInHistory (history; default TrustInHistory)")
+    p.add_argument("--beta", type=_parse_rate,
+                   help="forgetting rate (referrer, combine and FixedBeta history; default 0.2)")
     p.add_argument("--timesteps", type=_parse_count, default=100)
     p.add_argument("--tx", type=_parse_count, default=50, help="transactions per step (default 50)")
-    p.add_argument("--switch", type=int, default=50,
-                   help="corruption step for the combine experiment (default 50)")
+    p.add_argument("--switch", type=int, help="corruption step (combine; default 50)")
 
-    p = sub.add_parser("sweep", parents=[common], help="error vs. beta over a grid")
+    p = _add_command(sub, "sweep", "error vs. beta over a grid", "--format", "--seed")
     p.add_argument("--experiment", choices=("referrer", "history"), default="history")
     p.add_argument("--profiles", required=True, type=_split_profiles,
                    help="comma-separated profile specs, e.g. probability:0.9,periodic")
     p.add_argument("--beta-grid", required=True, type=_parse_grid, metavar="LO:HI:STEP")
-    p.add_argument("--method", type=_parse_update_method, default=None,
-                   help="update method for referrer sweeps (default AverageBeta)")
-    p.add_argument("--mode", type=_parse_history_mode, default=HistoryMode.FIXED_BETA,
-                   help="history mode for history sweeps (default FixedBeta)")
+    p.add_argument("--method", type=_parse_update_method,
+                   help="referrer update (referrer; default AverageBeta)")
+    p.add_argument("--mode", type=_parse_history_mode,
+                   help="Amazon | FixedBeta | TrustInHistory (history; default FixedBeta)")
     p.add_argument("--seeds", type=_parse_count, default=5,
                    help="seeds averaged per grid point (default 5)")
     p.add_argument("--timesteps", type=_parse_count, default=100)
     p.add_argument("--tx", type=_parse_count, default=50)
 
-    p = sub.add_parser("amazon", parents=[common], help="feedback-prediction error table")
+    p = _add_command(sub, "amazon", "feedback-prediction error table", "--format")
     p.add_argument("--input", default=None, metavar="FILE",
                    help="feedback CSV (seller_id,t,rating); default: bundled sample")
-    p.add_argument("--lambda-grid", type=_parse_grid, default=None, metavar="LO:HI:STEP",
+    p.add_argument("--lambda-grid", type=_parse_grid, default="0:1:0.1", metavar="LO:HI:STEP",
                    help="geometric-weight retention grid (default 0:1:0.1)")
 
     return parser
@@ -317,12 +307,12 @@ def _cmd_accuracy(args) -> int:
     measure = _ACCURACY_MEASURES.get(args.method.strip().lower())
     if measure is None:
         raise _UsageError(f"unknown accuracy method {args.method!r}")
-    q = measure(args.observed.build(), args.report.build())
+    q = measure(Evidence(*args.observed), Evidence(*args.report))
     _emit(f"{q:.10g}\n", args.out)
     return EXIT_OK
 
 
-def _require_referrer_method(method: UpdateMethod) -> None:
+def _require_referrer_method(method: Optional[UpdateMethod]) -> None:
     if method is UpdateMethod.AVERAGE_ALPHA:
         raise _UsageError("AverageAlpha is a history method, not a referrer update; use "
                           "'simulate --experiment history --mode TrustInHistory'")
@@ -331,60 +321,70 @@ def _require_referrer_method(method: UpdateMethod) -> None:
 def _cmd_update(args) -> int:
     _require_referrer_method(args.method)
     cfg = UpdateConfig(method=args.method, beta=args.beta)
-    updated = update_referrer(cfg, args.observed.build(), args.report.build(),
-                              args.prior.build())
+    updated = update_referrer(cfg, Evidence(*args.observed), Evidence(*args.report),
+                              Evidence(*args.prior))
     _emit(json.dumps(updated.to_dict()) + "\n", args.out)
     return EXIT_OK
 
 
-def _experiment_config(args, **overrides) -> ExperimentConfig:
-    base = dict(
-        timesteps=args.timesteps,
-        tx_per_step=args.tx,
-        seed=args.seed,
-        method=args.method,
-        beta=getattr(args, "beta", 0.2),
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+# The run-dependent flags that each (command, experiment) reads, each with its
+# default.  A history run reads --beta only in FixedBeta mode.
+_RUN_FLAGS = {
+    ("simulate", "referrer"): dict(profile=Truthful(), method=UpdateMethod.AVERAGE_BETA, beta=0.2),
+    ("simulate", "combine"): dict(method=UpdateMethod.AVERAGE_BETA, beta=0.2, switch=50),
+    ("simulate", "history"): dict(profile=Probability(), mode=HistoryMode.TRUST_IN_HISTORY,
+                                  beta=0.2),
+    ("sweep", "referrer"): dict(method=UpdateMethod.AVERAGE_BETA),
+    ("sweep", "history"): dict(mode=HistoryMode.FIXED_BETA),
+}
+_RUN_FLAG_NAMES = tuple(dict.fromkeys(name for flags in _RUN_FLAGS.values() for name in flags))
 
 
-def _resolve_method(args) -> UpdateMethod:
-    """--method of a simulate or sweep run, AverageBeta when not given; a
-    usage error for the history experiment, which has no referrers."""
+def _read_run_flags(args) -> List[str]:
+    """Reject the run-dependent flags set that the run does not read, naming
+    them and the run, then default those it reads; return those set."""
+    reads = dict(_RUN_FLAGS[args.command, args.experiment])
+    run = f"{args.command} --experiment {args.experiment}"
     if args.experiment == "history":
-        if args.method is not None:
-            raise _UsageError("--method does not apply to the history experiment, which has "
-                              "no referrers; choose its update with --mode")
-        return UpdateMethod.AVERAGE_BETA
-    method = UpdateMethod.AVERAGE_BETA if args.method is None else args.method
-    _require_referrer_method(method)
-    return method
+        mode = args.mode or reads["mode"]
+        run += f" --mode {mode.value}"
+        if mode is not HistoryMode.FIXED_BETA:
+            reads.pop("beta", None)
+    given = [name for name in _RUN_FLAG_NAMES if getattr(args, name, None) is not None]
+    unread = [f"--{name}" for name in given if name not in reads]
+    if unread:
+        raise _UsageError(f"{run} does not read {', '.join(unread)}")
+    vars(args).update((name, v) for name, v in reads.items() if name not in given)
+    return given
 
 
-def _require_behavior_profile(profile) -> None:
-    if isinstance(profile, get_args(ReferrerProfile)):
+def _experiment_config(args, **overrides) -> ExperimentConfig:
+    """The run's config; --method and --beta, when unread, keep its defaults."""
+    base = dict(timesteps=args.timesteps, tx_per_step=args.tx, seed=args.seed)
+    base.update((k, v) for k, v in vars(args).items() if k in ("method", "beta") and v is not None)
+    return ExperimentConfig(**{**base, **overrides})
+
+
+def _require_behavior_profiles(*profiles) -> None:
+    if any(isinstance(profile, get_args(ReferrerProfile)) for profile in profiles):
         raise _UsageError("history experiment needs a behavior profile, not a referrer profile")
 
 
 def _cmd_simulate(args) -> int:
-    args.method = _resolve_method(args)
+    given = _read_run_flags(args)
+    _require_referrer_method(args.method)
     cfg = _experiment_config(args)
     if args.experiment == "referrer":
-        profile = args.profile if args.profile is not None else Truthful()
-        records = run_referrer_experiment(cfg, profile)
+        records = run_referrer_experiment(cfg, args.profile)
     elif args.experiment == "combine":
-        if args.profile is not None:
-            raise _UsageError("--profile does not apply to the combine experiment, whose "
-                              "referrers are a fixed good and corrupted pair (see --switch)")
         if not 0 <= args.switch < args.timesteps:
+            got = f"got {args.switch}" if "switch" in given else f"its default is {args.switch}"
             raise _UsageError(f"--switch must be in [0, {args.timesteps}) for "
-                              f"--timesteps {args.timesteps}, got {args.switch}")
+                              f"--timesteps {args.timesteps}; {got}")
         records = run_combination_experiment(cfg, switch_step=args.switch).records
     else:
-        profile = args.profile if args.profile is not None else Probability()
-        _require_behavior_profile(profile)
-        records = run_history_experiment(cfg, profile, args.mode)
+        _require_behavior_profiles(args.profile)
+        records = run_history_experiment(cfg, args.profile, args.mode)
     text = records_to_json(records) if args.format == "json" else records_to_csv(records)
     _emit(text, args.out)
     return EXIT_OK
@@ -395,10 +395,10 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--seed {args.seed} with --seeds {args.seeds} runs up to seed "
                           f"{args.seed + args.seeds - 1}, past 2**64 - 1")
     seeds = [args.seed + k for k in range(args.seeds)]
-    args.method = _resolve_method(args)
+    _read_run_flags(args)
+    _require_referrer_method(args.method)
     if args.experiment == "history":
-        for profile in args.profiles:
-            _require_behavior_profile(profile)
+        _require_behavior_profiles(*args.profiles)
     header = ["profile", "method", "beta", "error"]
     rows = []
     for profile in args.profiles:
@@ -431,9 +431,8 @@ def _cmd_amazon(args) -> int:
         records = load_feedback_csv(args.input)
     else:
         records = parse_feedback_csv(_bundled_sample_text())
-    grid = args.lambda_grid if args.lambda_grid is not None else _parse_grid("0:1:0.1")
     configs = [AmazonConfig(mode=AmazonMode.UNWEIGHTED)]
-    configs += [AmazonConfig(mode=AmazonMode.GEOMETRIC, lambda_=lam) for lam in grid]
+    configs += [AmazonConfig(mode=AmazonMode.GEOMETRIC, lambda_=lam) for lam in args.lambda_grid]
     configs.append(AmazonConfig(mode=AmazonMode.TRUST_IN_HISTORY))
     results = run_amazon_experiment(records, configs)
     header = ["seller_id", "mode", "lambda", "error", "error_1to5"]

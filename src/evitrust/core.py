@@ -210,8 +210,10 @@ def _log_crossing(a: float, b: float, lbeta: float, t_peak: float, height: float
         # g ≈ height − ½A·δ² + ⅙B·δ³ in δ = t − t_peak, with A = a·n/b and
         # B = −A·(b + 2a)/b.  The quadratic's root δ₀, corrected for the
         # cubic term (or alone, if the correction leaves the bracket), bounds
-        # the solve at 4 steps; from lbeta/a it can take 12.
-        d0 = -math.sqrt(2.0 * height * b / (a * (a + b)))
+        # the solve at 4 steps; from lbeta/a it can take 12.  When a·n
+        # underflows (a subnormal count), δ₀ is -inf and Newton starts at lo.
+        an = a * (a + b)
+        d0 = -math.sqrt(2.0 * height * b / an) if an > 0.0 else -math.inf
         for guess in (t_peak + d0 * (1.0 - (b + 2.0 * a) * d0 / (6.0 * b)), t_peak + d0):
             if lo < guess < hi:
                 t = guess

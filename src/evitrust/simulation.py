@@ -41,7 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, get_args
@@ -296,16 +296,20 @@ class HistoryMode(str, Enum):
     TRUST_IN_HISTORY = "TrustInHistory"
 
 
+# The fixed provider of both referrer experiments serves each transaction well
+# with this probability; in run_referrer_experiment, a referrer with a
+# referrer profile observes this many of its transactions per step.
+_PROVIDER_QUALITY = 0.9
+_REFERRER_TX_PER_STEP = 5
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared knobs of the experiment drivers.
 
     ``tx_per_step`` is the number of transactions the client observes per
-    timestep; ``referrer_tx_per_step`` is how many a referrer observes for
-    its own experience.  ``provider_quality`` is the per-transaction success
-    probability of the fixed provider used by the referrer experiments.
-    ``horizon``, when set, replaces a Damping profile's own horizon; when
-    None the profile keeps its own (100 by default).
+    timestep.  ``method`` and ``beta`` select the referrer update; the
+    history experiment reads ``beta`` in FixedBeta mode only.
     """
 
     timesteps: int = 100
@@ -313,21 +317,14 @@ class ExperimentConfig:
     seed: int = 0
     method: UpdateMethod = UpdateMethod.AVERAGE_BETA
     beta: float = 0.2
-    horizon: Optional[int] = None
-    referrer_tx_per_step: int = 5
-    provider_quality: float = 0.9
 
     def __post_init__(self):
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         if self.tx_per_step < 1:
             raise ValueError(f"tx_per_step must be >= 1, got {self.tx_per_step}")
-        if self.referrer_tx_per_step < 1:
-            raise ValueError(f"referrer_tx_per_step must be >= 1, got {self.referrer_tx_per_step}")
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if not (0.0 <= self.provider_quality <= 1.0):
-            raise ValueError(f"provider_quality must be in [0, 1], got {self.provider_quality}")
         if self.seed < 0 or self.seed > 2**64 - 1:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
@@ -435,16 +432,9 @@ def _streams(seed: int, n: int) -> List[np.random.Generator]:
 # --------------------------------------------------------------------------
 
 
-def _with_horizon(profile: BehaviorProfile, config: ExperimentConfig) -> BehaviorProfile:
-    """The profile with a Damping horizon taken from the config, when one is set."""
-    if isinstance(profile, Damping) and config.horizon is not None:
-        return replace(profile, horizon=config.horizon)
-    return profile
-
-
 def _provider_draws(config: ExperimentConfig, n: int, rng: np.random.Generator) -> List[Evidence]:
     """A batch of n transactions with the fixed provider at every step."""
-    return [sample_transactions(config.provider_quality, n, rng) for _ in range(config.timesteps)]
+    return [sample_transactions(_PROVIDER_QUALITY, n, rng) for _ in range(config.timesteps)]
 
 
 def _track_referrers(
@@ -462,14 +452,15 @@ def _track_referrers(
     step's trusts are returned alongside.
     """
     ucfg = UpdateConfig(method=config.method, beta=config.beta)
-    trusts = (ucfg.referrer_prior,) * len(reports[0])
+    # The prior ⟨1, 1⟩ encodes willingness to consider a stranger's referrals.
+    trusts = (Evidence(1.0, 1.0),) * len(reports[0])
     records: List[TimestepRecord] = []
     history: List[Tuple[Evidence, ...]] = []
     for t, step in enumerate(reports, 1):
         predicted = combine_referrals(
             ReferralPath(to_belief(trust), report) for trust, report in zip(trusts, step)
         )
-        observed = sample_transactions(config.provider_quality, config.tx_per_step, rng_client)
+        observed = sample_transactions(_PROVIDER_QUALITY, config.tx_per_step, rng_client)
         trusts = tuple(
             update_referrer(ucfg, observed, report, trust) for trust, report in zip(trusts, step)
         )
@@ -486,9 +477,9 @@ def run_referrer_experiment(
     """Track one referrer's trust as its referrals are checked against
     direct experience.
 
-    The provider serves at a constant per-transaction quality
-    (``config.provider_quality``).  A behavior-profile referrer issues a
-    report of strength ``tx_per_step`` whose quality follows X_t.  A
+    The provider serves each transaction well with probability 0.9.  A
+    behavior-profile referrer issues a report of strength ``tx_per_step``
+    whose quality follows X_t.  A
     referrer-profile referrer accumulates its own observations of the
     provider and reports them through :func:`make_report`; the Rumor profile
     exaggerates its current step's fresh experience once it switches, which
@@ -502,10 +493,10 @@ def run_referrer_experiment(
     profile = referrer_behavior
     if isinstance(profile, get_args(BehaviorProfile)):
         m = float(config.tx_per_step)
-        xs = behavior_sequence(_with_horizon(profile, config), rng_behavior, config.timesteps)
+        xs = behavior_sequence(profile, rng_behavior, config.timesteps)
         reports = [(Evidence(m * x, m * (1.0 - x)),) for x in xs]
     else:
-        fresh = _provider_draws(config, config.referrer_tx_per_step, rng_referrer)
+        fresh = _provider_draws(config, _REFERRER_TX_PER_STEP, rng_referrer)
         # Past its switch, Rumor exaggerates only that step's fresh experience.
         rumor_switch = profile.switch_step if isinstance(profile, Rumor) else config.timesteps
         reports = [
@@ -560,11 +551,10 @@ def _history_observations(config: ExperimentConfig, profile: BehaviorProfile) ->
     """The observed ⟨k, n−k⟩ of every step of a history run.
 
     This is all the randomness of the run: the behavior stream draws X_1..X_T
-    (Damping takes its horizon from the config when one is set) and the
-    transaction stream draws ``tx_per_step`` outcomes at each X_t.
+    and the transaction stream draws ``tx_per_step`` outcomes at each X_t.
     """
     rng_behavior, rng_tx = _streams(config.seed, 2)
-    xs = behavior_sequence(_with_horizon(profile, config), rng_behavior, config.timesteps)
+    xs = behavior_sequence(profile, rng_behavior, config.timesteps)
     return [sample_transactions(x, config.tx_per_step, rng_tx) for x in xs]
 
 

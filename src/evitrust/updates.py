@@ -71,15 +71,13 @@ class UpdateMethod(str, enum.Enum):
 
 @dataclass(frozen=True)
 class UpdateConfig:
-    """Method selection plus the discount factor and the referrer prior.
+    """Method selection plus the discount factor.
 
-    ``beta`` is the forgetting rate of the generic update.  The referrer
-    prior ⟨1, 1⟩ encodes willingness to consider a stranger's referrals.
+    ``beta`` is the forgetting rate of the generic update.
     """
 
     method: UpdateMethod = UpdateMethod.AVERAGE_BETA
     beta: float = 0.2
-    referrer_prior: Evidence = field(default_factory=lambda: Evidence(1.0, 1.0))
 
     def __post_init__(self):
         if not (0.0 <= self.beta <= 1.0):

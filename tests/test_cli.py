@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,7 +7,7 @@ from typing import get_args
 
 import pytest
 
-from evitrust.cli import cli_main, parse_profile
+from evitrust.cli import _RUN_FLAGS, _build_parser, cli_main, parse_profile
 from evitrust.core import Evidence, expected_quality
 from evitrust.errors import ConvergenceError
 from evitrust.simulation import _PROFILES, BehaviorProfile, ReferrerProfile
@@ -100,6 +101,15 @@ class TestUpdateCommand:
                            "--observed", "2,1", "--report", "5,5")
         assert code == 1
         assert "history" in err
+
+    @pytest.mark.parametrize("flag", ["--observed", "--report", "--prior"])
+    def test_negative_count_is_data_error(self, capsys, flag):
+        pairs = {"--observed": "2,1", "--report": "5,5", "--prior": "1,1", flag: "-1,1"}
+        code, out, err = run(capsys, "update", "--method", "Josang",
+                             *(f"{k}={v}" for k, v in pairs.items()))
+        assert code == 2
+        assert "non-negative" in err
+        assert out == ""
 
     @pytest.mark.parametrize("argv", [
         ["update", "--observed", "2,1", "--report", "5,5"],
@@ -379,11 +389,43 @@ class TestExitCodes:
         (["simulate", "--experiment", "history", "--method", "Josang"], "--method"),
         (["sweep", "--experiment", "history", "--profiles", "periodic",
           "--beta-grid", "0:1:0.5", "--method", "Josang"], "--method"),
+        (["simulate", "--experiment", "referrer", "--mode", "Amazon"], "--mode"),
+        (["simulate", "--experiment", "referrer", "--switch", "2"], "--switch"),
+        (["simulate", "--experiment", "combine", "--switch", "2", "--mode", "Amazon"], "--mode"),
+        (["simulate", "--experiment", "history", "--switch", "2"], "--switch"),
+        (["simulate", "--experiment", "history", "--beta", "0.7"], "--beta"),
+        (["simulate", "--experiment", "history", "--mode", "TrustInHistory", "--beta", "0.7"],
+         "--beta"),
+        (["simulate", "--experiment", "history", "--mode", "Amazon", "--beta", "0.7"], "--beta"),
+        (["sweep", "--experiment", "referrer", "--profiles", "truthful",
+          "--beta-grid", "0:1:0.5", "--mode", "Amazon"], "--mode"),
     ])
     def test_flag_the_experiment_ignores_is_usage_error(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv, "--timesteps", "3")
         assert code == 1
         assert flag in err
+        assert " ".join(argv[:3]) in err  # names the run
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["certainty", "3", "1"], "--format"),
+        (["certainty", "3", "1"], "--seed"),
+        (["accuracy", "--method", "average", "--observed", "3,1", "--report", "2,2"], "--format"),
+        (["accuracy", "--method", "average", "--observed", "3,1", "--report", "2,2"], "--seed"),
+        (["update", "--method", "Josang", "--observed", "2,1", "--report", "5,5"], "--format"),
+        (["update", "--method", "Josang", "--observed", "2,1", "--report", "5,5"], "--seed"),
+        (["amazon"], "--seed"),
+    ])
+    def test_shared_flag_the_command_does_not_read_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, flag, "json" if flag == "--format" else "4")
+        assert code == 1
+        assert flag in err
+        assert out == ""
+
+    def test_default_switch_outside_run_says_it_is_the_default(self, capsys):
+        code, out, err = run(capsys, "simulate", "--experiment", "combine", "--timesteps", "20")
+        assert code == 1
+        assert "--switch" in err and "default is 50" in err and "got" not in err
         assert out == ""
 
     def test_largest_seed_accepted(self, capsys):
@@ -474,3 +516,55 @@ def test_every_profile_name_parses_bare_and_at_full_arity(name):
 def test_every_profile_class_has_a_cli_name():
     classes = get_args(BehaviorProfile) + get_args(ReferrerProfile)
     assert set(classes) == set(_PROFILES.values())
+
+
+# A value for each run-dependent flag that differs from its default in every run.
+_READ_VALUES = {"method": "Josang", "mode": "Amazon", "beta": "0.7", "switch": "2"}
+_PROFILE_VALUES = {"referrer": "rumor:2,3", "history": "periodic"}
+
+
+@pytest.mark.parametrize("command,experiment,flag", [
+    (command, experiment, flag) for (command, experiment), flags in _RUN_FLAGS.items()
+    for flag in flags
+])
+def test_every_flag_the_table_lists_is_read(capsys, command, experiment, flag):
+    # The combine run's default --switch 50 needs a longer run.
+    argv = [command, "--experiment", experiment,
+            "--timesteps", "60" if experiment == "combine" else "6"]
+    if command == "sweep":
+        argv += ["--profiles", "truthful" if experiment == "referrer" else "periodic",
+                 "--beta-grid", "0:1:0.5", "--seeds", "1"]
+    if experiment == "history" and flag == "beta":
+        argv += ["--mode", "FixedBeta"]
+    value = _PROFILE_VALUES[experiment] if flag == "profile" else _READ_VALUES[flag]
+    code, out, err = run(capsys, *argv, f"--{flag}", value)
+    assert code == 0, err
+    default_code, default_out, _ = run(capsys, *argv)
+    assert default_code == 0
+    assert out != default_out
+
+
+def _option_flags(command):
+    """The subcommand's options, each by its long flag, with its default."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[-1]: a.default for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help"}
+
+
+# The options that every run of a command reads.
+_EVERY_RUN_READS = {
+    "simulate": {"--out", "--format", "--seed", "--experiment", "--timesteps", "--tx"},
+    "sweep": {"--out", "--format", "--seed", "--experiment", "--timesteps", "--tx",
+              "--profiles", "--beta-grid", "--seeds"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_RUN_READS))
+def test_run_flag_table_matches_the_parser(command):
+    options = _option_flags(command)
+    in_table = {f"--{flag}" for (c, _), flags in _RUN_FLAGS.items() if c == command
+                for flag in flags}
+    assert set(options) - _EVERY_RUN_READS[command] == in_table
+    # None tells a flag that was set from one that was not.
+    assert all(options[flag] is None for flag in in_table)

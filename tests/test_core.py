@@ -183,6 +183,8 @@ class TestCertaintyAcrossDomain:
         (1.1e-4, 1.95e5),
         (6.7e5, 6.5e-4),
         (2.0, 5e-324),       # subnormal count: s/n rounds to 0
+        (1e-13, 2e-313),     # subnormal count: s·n underflows to 0
+        (1e-15, 2.2250738585e-313),
     ])
     def test_near_one_sided_matches_oracle(self, r, s):
         want = certainty_by_quadrature(r, s, abs_tol=1e-10)

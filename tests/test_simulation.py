@@ -286,9 +286,9 @@ class TestHistoryExperiment:
         recs = run_history_experiment(cfg, Probability(0.9), HistoryMode.TRUST_IN_HISTORY)
         assert prediction_error(recs) < 0.25
 
-    def test_damping_resolves_horizon_from_config(self):
-        cfg = ExperimentConfig(timesteps=20, seed=6, horizon=20)
-        recs = run_history_experiment(cfg, Damping(horizon=999), HistoryMode.AMAZON)
+    def test_damping_uses_its_own_horizon(self):
+        cfg = ExperimentConfig(timesteps=20, seed=6)
+        recs = run_history_experiment(cfg, Damping(horizon=20), HistoryMode.AMAZON)
         assert [r.alpha_obs for r in recs[:10]] == [1.0] * 10
         assert [r.alpha_obs for r in recs[11:]] == [0.0] * 9
 
@@ -309,10 +309,10 @@ class TestHistoryErrors:
     @pytest.mark.parametrize("seed", [0, 13])
     @pytest.mark.parametrize("mode", list(HistoryMode))
     @pytest.mark.parametrize(
-        "profile", [Probability(0.9), Periodic(), Random(), Damping(horizon=999)]
+        "profile", [Probability(0.9), Periodic(), Random(), Damping(horizon=16)]
     )
     def test_equals_one_run_per_beta(self, seed, mode, profile):
-        cfg = ExperimentConfig(timesteps=30, tx_per_step=20, seed=seed, horizon=16)
+        cfg = ExperimentConfig(timesteps=30, tx_per_step=20, seed=seed)
         expected = [
             prediction_error(run_history_experiment(replace(cfg, beta=b), profile, mode))
             for b in self.BETAS
