@@ -23,7 +23,6 @@ import json
 import math
 import sys
 from dataclasses import fields
-from importlib import resources
 from typing import List, Optional, Sequence, Tuple, get_args
 
 from .amazon import (
@@ -72,6 +71,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # No prefix matching, here or in the subcommands (which argparse
+        # builds with this class): ``--beta`` must not run as ``--beta-grid``.
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # noqa: A003 - argparse API
         raise _UsageError(message)
 
@@ -423,6 +427,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _bundled_sample_text() -> str:
+    from importlib import resources  # only the bundled sample needs it
+
     return resources.files("evitrust").joinpath("data/amazon_sample.csv").read_text("utf-8")
 
 

@@ -341,6 +341,25 @@ class TestExitCodes:
         assert code == 1
         assert "--tol" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5", "--beta", "0.5:0.5:1"],
+         "--beta"),
+        (["simulate", "--experiment", "history", "--time", "4"], "--time"),
+        (["simulate", "--experiment", "combine", "--swi", "3"], "--swi"),
+        (["amazon", "--lambda", "0:1:0.5"], "--lambda"),
+    ])
+    def test_flag_prefix_is_not_read_as_the_longer_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert f"unrecognized arguments: {flag} " in err
+        assert out == ""
+
+    def test_prefix_of_a_required_flag_leaves_it_missing(self, capsys):
+        code, out, err = run(capsys, "sweep", "--profiles", "periodic", "--beta", "0.5:0.5:1")
+        assert code == 1
+        assert "required: --beta-grid" in err
+        assert out == ""
+
     def test_zero_seeds_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--profiles", "periodic",
                            "--beta-grid", "0:1:0.5", "--seeds", "0")
