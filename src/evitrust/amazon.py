@@ -1,23 +1,23 @@
-"""Marketplace feedback prediction: ratings as evidence, three predictors.
+"""Marketplace feedback prediction: the history experiment run on ratings.
 
 Ratings in {1..5} normalize to v = (rating−1)/4 and count as ten
 transactions' worth of evidence, ⟨10v, 10(1−v)⟩, so a 5 becomes ⟨10, 0⟩ and
-a 2 becomes ⟨2.5, 7.5⟩.  Each feedback is predicted from its predecessors
-under one of three schemes:
+a 2 becomes ⟨2.5, 7.5⟩.  Each feedback is predicted from its predecessors by
+the expected quality of the evidence carried before it, under one of three
+predictors, which are the history modes of :mod:`evitrust.simulation`:
 
-* Unweighted: the plain mean of past normalized ratings.
-* GeometricWeights(λ): weights λ^age with the oldest feedback carrying the
-  highest power of λ.
-* TrustInHistory: threads the evidence stream through the self-tuning
-  history update and predicts with the carried evidence's expected quality.
+* Unweighted is Amazon: all evidence is kept, so the prediction is the plain
+  mean of past normalized ratings.
+* GeometricWeights(λ) is FixedBeta(1−λ): the carried evidence is discounted
+  by λ per feedback, so the prediction is the mean with weights λ^age, the
+  oldest feedback carrying the highest power of λ.
+* TrustInHistory threads the evidence stream through the self-tuning history
+  update.
 
-Every predictor is a fold with O(1) state: a running (discounted) sum and
-weight for the two means, the history state for TrustInHistory.  The
-experiment therefore scores each seller under each predictor in one O(n)
-pass.
-
-Prediction errors are reported on the normalized scale (multiply by 4 for
-the 1-to-5 scale).
+All three run through the one fold, :func:`evitrust.simulation._fold`, with
+O(1) state, so the experiment scores each seller under each predictor in one
+O(n) pass.  Prediction errors are reported on the normalized scale (multiply
+by 4 for the 1-to-5 scale).
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from .core import Evidence, expected_quality
 from .errors import FeedbackFormatError
-from .simulation import BehaviorProfile, Probability, _history_fold, behavior_sequence
+from .simulation import BehaviorProfile, Probability, _fold, _streams, behavior_sequence
 from .updates import HistoryState
 
 __all__ = [
@@ -100,6 +98,10 @@ def rating_to_evidence(rating: int) -> Evidence:
     return _feedback_evidence(normalize_rating(rating))
 
 
+# Every rating's evidence, built once for the feedback folds.
+_RATING_EVIDENCE = {rating: rating_to_evidence(rating) for rating in range(1, 6)}
+
+
 def parse_feedback_csv(text: str) -> List[FeedbackRecord]:
     """Parse feedback CSV content with header ``seller_id,t,rating``.
 
@@ -158,52 +160,29 @@ def load_feedback_csv(path: str) -> List[FeedbackRecord]:
     return parse_feedback_csv(text)
 
 
-def _mean_fold(values: Iterable[float], lam: float) -> Tuple[float, float, float]:
-    """Fold the discounted mean Σ λ^age·v / Σ λ^age over ``values``.
-
-    Returns the final sums (num, den) and the summed gap |num/den − v| of
-    each value after the first from the mean of the values before it.
-    λ = 1 is the plain running mean; λ = 0 keeps only the newest value.
-    """
-    num = den = gap = 0.0
-    for v in values:
-        if den:
-            gap += abs(num / den - v)
-        num = lam * num + v
-        den = lam * den + 1.0
-    return num, den, gap
-
-
-def _retention(mode: AmazonMode, config: AmazonConfig) -> float:
-    """λ of a mean mode: 1 for Unweighted, the config's for GeometricWeights."""
+def _keep(config: AmazonConfig) -> Optional[float]:
+    """The retention of a predictor: 1 for Unweighted, λ for GeometricWeights,
+    None for TrustInHistory (:func:`~evitrust.updates.history_update` sets it)."""
+    mode = AmazonMode(config.mode)
+    if mode is AmazonMode.TRUST_IN_HISTORY:
+        return None
     return 1.0 if mode is AmazonMode.UNWEIGHTED else config.lambda_
 
 
-def predict_feedback(
-    history: Sequence[float],
-    config: AmazonConfig,
-    state: Optional[HistoryState] = None,
-) -> float:
+def predict_feedback(history: Sequence[float], config: AmazonConfig) -> float:
     """Predict the next normalized feedback from past normalized feedbacks.
 
-    Unweighted returns the plain mean.  GeometricWeights returns
-    Σ vᵢ·λ^(ageᵢ) / Σ λ^(ageᵢ) where the most recent feedback has age 0.
-    TrustInHistory replays the history through the self-tuning update (each
-    feedback as ⟨10v, 10(1−v)⟩ evidence), or continues from ``state`` if
-    given, and predicts the carried evidence's expected quality.  The mean
-    modes raise ValueError on an empty history.
+    Each feedback counts as ⟨10v, 10(1−v)⟩ evidence.  Unweighted predicts
+    the plain mean.  GeometricWeights predicts Σ vᵢ·λ^(ageᵢ) / Σ λ^(ageᵢ)
+    where the most recent feedback has age 0.  TrustInHistory threads the
+    history through the self-tuning update and predicts the carried
+    evidence's expected quality (0.5 for an empty history).  The mean modes
+    raise ValueError on an empty history.
     """
-    mode = AmazonMode(config.mode)
-    if mode is AmazonMode.TRUST_IN_HISTORY:
-        if state is None:
-            state = HistoryState()
-            for _, upd in _history_fold(map(_feedback_evidence, history)):
-                state = upd.state
-        return expected_quality(state.carried)
-    num, den, _ = _mean_fold(history, _retention(mode, config))
-    if den == 0.0:
-        raise ValueError(f"{mode.value} prediction requires a non-empty history")
-    return num / den
+    keep = _keep(config)
+    if keep is not None and not history:
+        raise ValueError(f"{AmazonMode(config.mode).value} prediction requires a non-empty history")
+    return expected_quality(_fold(map(_feedback_evidence, history), history, keep)[1].carried)
 
 
 @dataclass(frozen=True)
@@ -226,10 +205,10 @@ def run_amazon_experiment(
 ) -> List[SellerModeError]:
     """Predict every feedback from its predecessors, per seller and config.
 
-    Each (seller, config) takes one O(n) fold with O(1) state: predict the
-    next feedback, add the gap to the running total, then observe the
-    feedback.  The first feedback of a seller has no predecessors and is
-    skipped for all predictors.
+    Each (seller, config) takes one O(n) pass of the history fold with O(1)
+    state: predict the next feedback, add the gap to the running total, then
+    observe the feedback.  The first feedback of a seller has no
+    predecessors: it is not scored, and the fold starts from it.
     Sellers with fewer than two feedbacks cannot be scored and are skipped
     entirely.  Returns one row per (seller, config), sellers in
     first-appearance order.
@@ -242,20 +221,18 @@ def run_amazon_experiment(
     for seller, feedback in by_seller.items():
         if len(feedback) < 2:
             continue
-        values = [normalize_rating(rec.rating) for rec in feedback]
+        first, *rest = feedback
+        values = [normalize_rating(rec.rating) for rec in rest]
+        evidence = [_RATING_EVIDENCE[rec.rating] for rec in rest]
+        # The first feedback has no predecessors: each fold starts from it.
+        # (Folding it in from nothing gives the same state: an empty history
+        # has certainty 0, so the history trust does not move.)
+        start = HistoryState(_RATING_EVIDENCE[first.rating])
         for config in configs:
+            gap = _fold(evidence, values, _keep(config), start)[0]
             mode = AmazonMode(config.mode)
-            if mode is AmazonMode.TRUST_IN_HISTORY:
-                # Each feedback after the first against the carried evidence before it.
-                fold = _history_fold(map(_feedback_evidence, values))
-                next(fold)
-                gap = 0.0
-                for (carried, _), v in zip(fold, values[1:]):
-                    gap += abs(expected_quality(carried) - v)
-            else:
-                gap = _mean_fold(values, _retention(mode, config))[2]
             lam = config.lambda_ if mode is AmazonMode.GEOMETRIC else None
-            results.append(SellerModeError(seller, mode, lam, gap / (len(values) - 1)))
+            results.append(SellerModeError(seller, mode, lam, gap / len(values)))
     return results
 
 
@@ -273,10 +250,8 @@ def synthesize_feedback(
     """
     if profile is None:
         profile = Probability(0.9)
-    root = np.random.SeedSequence(seed)
     records: List[FeedbackRecord] = []
-    for idx, child in enumerate(root.spawn(sellers)):
-        rng = np.random.Generator(np.random.PCG64(child))
+    for idx, rng in enumerate(_streams(seed, sellers)):
         xs = behavior_sequence(profile, rng, feedbacks_per_seller)
         for t, x in enumerate(xs, start=1):
             rating = 1 + int(rng.binomial(4, x))

@@ -135,6 +135,9 @@ def _parse_rate(text: str) -> float:
     return v
 
 
+_MAX_GRID_POINTS = 10_001
+
+
 def _parse_grid(text: str) -> List[float]:
     """Parse 'lo:hi:step' into a grid of rates, each in [0, 1]."""
     parts = text.split(":")
@@ -148,6 +151,11 @@ def _parse_grid(text: str) -> List[float]:
     # A NaN or infinite step would never pass hi.
     if not 0.0 < step < math.inf or hi < lo:
         raise argparse.ArgumentTypeError(f"need lo <= hi and a finite step > 0, got {text!r}")
+    # Count the points before building them: a tiny step would fill memory.
+    if (hi - lo + 1e-12) / step >= _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"a grid holds at most {_MAX_GRID_POINTS} points, got {text!r}"
+        )
     values = []
     k = 0
     while True:

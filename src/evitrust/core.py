@@ -55,7 +55,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import ConvergenceError
 from .numerics import _incomplete_beta, log_beta
@@ -324,24 +324,6 @@ def _log_crossings(r: float, s: float) -> Optional[Tuple[float, float]]:
         return None
     return (_log_crossing(r, s, lbeta, t_peak, height),
             _log_crossing(s, r, lbeta, u_peak, height))
-
-
-def _unit_crossings(r: float, s: float) -> List[Tuple[float, float, float, float]]:
-    """(x, 1 − x, a, b) at each unit crossing of the density of ⟨r, s⟩ ≠ ⟨0, 0⟩.
-
-    The left crossing x_lo comes with its tail's shapes (r+1, s+1), and the
-    right one as w = 1 − x_hi with (s+1, r+1).  One-sided evidence has only
-    one, at (n+1)^(−1/n) on the side of its count.  There are none when the
-    density never rises above uniform (only by rounding, at tiny totals).
-    """
-    if r == 0.0 or s == 0.0:
-        n = r + s
-        logs = [-math.log1p(n) / n]
-        shapes = [(n + 1.0, 1.0)]
-    else:
-        logs = _log_crossings(r, s) or []
-        shapes = [(r + 1.0, s + 1.0), (s + 1.0, r + 1.0)]
-    return [(math.exp(t), -math.expm1(t), a, b) for t, (a, b) in zip(logs, shapes)]
 
 
 def to_belief(e: Evidence) -> Belief:

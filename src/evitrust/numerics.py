@@ -53,13 +53,17 @@ def log_beta(a: float, b: float) -> float:
 
     exp(log_beta(r+1, s+1)) is the normalizer ∫₀¹ xʳ(1−x)ˢ dx of the
     evidence density; for integer r, s it reduces to r!·s!/(r+s+1)!.
-    Raises ValueError unless a and b are positive and finite.
+    Raises ValueError unless a and b are positive and finite, and when
+    ln Γ overflows (an argument above about 2.5e305).
     """
     # math.lgamma directly, behind one check: certainty calls this on every
     # evaluation.
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"log_beta requires positive finite arguments, got a={a}, b={b}")
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    try:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    except OverflowError:
+        raise ValueError(f"log_beta overflows at a={a}, b={b}") from None
 
 
 def _beta_cf(x: float, a: float, b: float) -> float:

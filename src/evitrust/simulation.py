@@ -44,7 +44,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, get_args
+from typing import Iterable, List, Optional, Sequence, Tuple, Union, get_args
 
 import numpy as np
 # numpy loads numpy.random lazily on first use; import it here, with the
@@ -55,7 +55,6 @@ from .core import Evidence, _quality, certainty, expected_quality, to_belief
 from .propagation import ReferralPath, combine_referrals
 from .updates import (
     HistoryState,
-    HistoryUpdate,
     UpdateConfig,
     UpdateMethod,
     history_update,
@@ -400,25 +399,14 @@ def records_to_json(records: Sequence[TimestepRecord]) -> str:
 
 
 def prediction_error(series: Sequence[TimestepRecord]) -> float:
-    """Mean absolute gap between predicted and observed quality over a run."""
-    return _mean_gap((r.alpha_pred, r.alpha_obs) for r in series)
-
-
-def _mean_gap(pairs: Iterable[Tuple[float, float]]) -> float:
-    """Mean of |predicted − observed| over (predicted, observed) pairs.
-
-    The one accumulator behind every prediction error: a plain left-to-right
-    sum, so the same gaps give the same float on any Python (3.12 made
-    ``sum`` of floats compensated).
-    """
-    total = 0.0
-    n = 0
-    for pred, obs in pairs:
-        total += abs(pred - obs)
-        n += 1
-    if n == 0:
+    """Mean absolute gap between predicted and observed quality over a run,
+    summed left to right as in :func:`_fold`."""
+    if not series:
         raise ValueError("prediction_error requires a non-empty series")
-    return total / n
+    total = 0.0
+    for rec in series:
+        total += abs(rec.alpha_pred - rec.alpha_obs)
+    return total / len(series)
 
 
 def _streams(seed: int, n: int) -> List[np.random.Generator]:
@@ -558,27 +546,48 @@ def _history_observations(config: ExperimentConfig, profile: BehaviorProfile) ->
     return [sample_transactions(x, config.tx_per_step, rng_tx) for x in xs]
 
 
-def _discounted_fold(observed: Iterable[Evidence], keep: float) -> Iterator[Tuple[float, float]]:
-    """Carried ⟨r, s⟩ after each observation: r ← r·keep + k, s ← s·keep + (n−k).
+def _keep(mode: HistoryMode, beta: float) -> Optional[float]:
+    """The retention of a history mode: 1 for Amazon, 1 − β for FixedBeta,
+    None for TrustInHistory (:func:`history_update` sets it each step)."""
+    if mode is HistoryMode.TRUST_IN_HISTORY:
+        return None
+    return 1.0 if mode is HistoryMode.AMAZON else 1.0 - beta
 
-    Amazon keeps everything (keep = 1.0; x·1.0 = x, so this is the plain
-    running sum) and FixedBeta keeps 1 − β.
+
+def _fold(
+    observed: Iterable[Evidence],
+    alphas: Iterable[float],
+    keep: Optional[float],
+    state: HistoryState = HistoryState(),
+) -> Tuple[float, HistoryState]:
+    """The one history predictor, folded over ``observed`` from ``state``.
+
+    The prediction for each observation is the expected quality of the
+    evidence carried before it, and its gap is |prediction − α| with α that
+    observation's expected quality from ``alphas``.  The observation then
+    updates the carried evidence.  With a retention ``keep`` it is
+    discounted, r ← r·keep + k, s ← s·keep + (n−k): Amazon keeps everything
+    (keep = 1.0; x·1.0 = x, so this is the plain running sum) and FixedBeta
+    keeps 1 − β.  With ``keep`` None (TrustInHistory), :func:`history_update`
+    sets the retention from the consistency of the observation with the
+    history, and moves the history trust, which the discount leaves alone.
+
+    Returns the gaps, summed left to right so that the same gaps give the
+    same float on any Python (3.12 made ``sum`` of floats compensated), and
+    the state after the last observation.
     """
-    r = s = 0.0
-    for obs in observed:
+    gap = 0.0
+    if keep is None:
+        for obs, alpha in zip(observed, alphas):
+            gap += abs(expected_quality(state.carried) - alpha)
+            state = history_update(state, obs).state
+        return gap, state
+    r, s = state.carried.r, state.carried.s
+    for obs, alpha in zip(observed, alphas):
+        gap += abs(_quality(r, s) - alpha)
         r = r * keep + obs.r
         s = s * keep + obs.s
-        yield r, s
-
-
-def _history_fold(observed: Iterable[Evidence]) -> Iterator[Tuple[Evidence, HistoryUpdate]]:
-    """TrustInHistory: the carried evidence before each observation, and the
-    :func:`history_update` that the observation makes."""
-    state = HistoryState()
-    for obs in observed:
-        upd = history_update(state, obs)
-        yield state.carried, upd
-        state = upd.state
+    return gap, HistoryState(Evidence(r, s), state.history_trust)
 
 
 def run_history_experiment(
@@ -605,28 +614,20 @@ def run_history_experiment(
     :func:`history_errors` folds them all over one draw.
     """
     mode = HistoryMode(mode)
-    observed = _history_observations(config, profile)
-    if mode is HistoryMode.TRUST_IN_HISTORY:
-        steps = [
-            (predicted, upd.discount, upd.state.history_trust)
-            for predicted, upd in _history_fold(observed)
-        ]
-    else:
-        keep = 1.0 if mode is HistoryMode.AMAZON else 1.0 - config.beta
-        carried = [Evidence(r, s) for r, s in _discounted_fold(observed, keep)]
-        steps = [(p, keep, c) for p, c in zip([Evidence(0.0, 0.0), *carried], carried)]
-    return [
-        TimestepRecord(
-            t=t,
-            predicted=predicted,
-            observed=obs,
-            alpha_pred=expected_quality(predicted),
-            alpha_obs=expected_quality(obs),
-            trust_state=trust_state,
-            discount=retention,
-        )
-        for t, (obs, (predicted, retention, trust_state)) in enumerate(zip(observed, steps), 1)
-    ]
+    keep = _keep(mode, config.beta)
+    state = HistoryState()
+    records: List[TimestepRecord] = []
+    for t, obs in enumerate(_history_observations(config, profile), 1):
+        predicted, alpha_obs = state.carried, expected_quality(obs)
+        state = _fold((obs,), (alpha_obs,), keep, state)[1]
+        if keep is None:
+            # history_update's discount is the expected quality of the new trust.
+            trust_state, retention = state.history_trust, expected_quality(state.history_trust)
+        else:
+            trust_state, retention = state.carried, keep
+        records.append(TimestepRecord(t, predicted, obs, expected_quality(predicted), alpha_obs,
+                                      trust_state, retention))
+    return records
 
 
 def history_errors(
@@ -648,18 +649,11 @@ def history_errors(
         if not (0.0 <= b <= 1.0):
             raise ValueError(f"beta must be in [0, 1], got {b}")
     observed = _history_observations(config, profile)
-    alpha_obs = [expected_quality(obs) for obs in observed]
+    alphas = [expected_quality(obs) for obs in observed]
 
-    def error(keep: float) -> float:
-        before = [(0.0, 0.0), *_discounted_fold(observed[:-1], keep)]
-        return _mean_gap((_quality(r, s), a) for (r, s), a in zip(before, alpha_obs))
+    def error(keep: Optional[float]) -> float:
+        return _fold(observed, alphas, keep)[0] / len(observed)
 
-    if mode is HistoryMode.TRUST_IN_HISTORY:
-        tih = _mean_gap(
-            (expected_quality(predicted), a)
-            for (predicted, _), a in zip(_history_fold(observed), alpha_obs)
-        )
-        return [tih] * len(betas)
-    if mode is HistoryMode.AMAZON:
-        return [error(1.0)] * len(betas)
-    return [error(1.0 - b) for b in betas]
+    if mode is HistoryMode.FIXED_BETA:
+        return [error(1.0 - b) for b in betas]
+    return [error(_keep(mode, config.beta))] * len(betas)

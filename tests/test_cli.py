@@ -7,7 +7,7 @@ from typing import get_args
 
 import pytest
 
-from evitrust.cli import _RUN_FLAGS, _build_parser, cli_main, parse_profile
+from evitrust.cli import _RUN_FLAGS, _build_parser, _parse_grid, cli_main, parse_profile
 from evitrust.core import Evidence, expected_quality
 from evitrust.errors import ConvergenceError
 from evitrust.simulation import _PROFILES, BehaviorProfile, ReferrerProfile
@@ -40,6 +40,13 @@ class TestCertaintyCommand:
         code, _, err = run(capsys, "certainty", "-1", "2")
         assert code == 2
         assert "non-negative" in err
+
+    @pytest.mark.parametrize("r,s", [("1e308", "1e308"), ("1e308", "1")])
+    def test_overflowing_evidence_is_one_line_data_error(self, capsys, r, s):
+        code, out, err = run(capsys, "certainty", r, s)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: log_beta overflows") and err.count("\n") == 1
 
 
 class TestAccuracyCommand:
@@ -496,6 +503,22 @@ class TestExitCodes:
         assert code == 1
         assert "--lambda-grid" in err
         assert out == ""
+
+    @pytest.mark.parametrize("step", ["1e-300", "5e-324", "0.99e-4"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["amazon"], "--lambda-grid"),
+        (["sweep", "--profiles", "periodic"], "--beta-grid"),
+    ])
+    def test_grid_of_more_than_10001_points_is_usage_error(self, capsys, argv, flag, step):
+        code, out, err = run(capsys, *argv, f"{flag}=0:1:{step}")
+        assert code == 1
+        assert flag in err and "10001 points" in err
+        assert out == ""
+
+    def test_grid_of_10001_points_accepted(self):
+        grid = _parse_grid("0:1:1e-4")
+        assert len(grid) == 10001
+        assert (grid[0], grid[-1]) == (0.0, 1.0)
 
     def test_unwritable_out_is_data_error(self, capsys):
         code, _, err = run(capsys, "certainty", "1", "2", "--out", "/nonexistent/dir/x.csv")

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ from scipy.special import betainc  # test-only oracle (the test extra)
 
 import evitrust
 from conftest import DEFAULT_TOLERANCE, Tolerance, integrate
-from evitrust.core import _unit_crossings
+from evitrust.core import Evidence, _log_crossings, certainty
 from evitrust.errors import ConvergenceError
 from evitrust.numerics import (
     _incomplete_beta,
@@ -76,6 +77,18 @@ class TestLogBeta:
             log_beta(0.0, 1.0)
         with pytest.raises(ValueError):
             log_beta(1.0, -2.0)
+
+    @pytest.mark.parametrize("a,b", [(1e308, 1e308), (1e308, 2.0), (2.0, 3e305)])
+    def test_lgamma_overflow_is_value_error_naming_the_arguments(self, a, b):
+        with pytest.raises(ValueError, match=re.escape(f"a={a!r}, b={b!r}")):
+            log_beta(a, b)
+
+    def test_overflow_reaches_callers_as_value_error(self):
+        big = Evidence(1e308, 1e308)
+        with pytest.raises(ValueError, match="log_beta overflows"):
+            certainty(big)
+        with pytest.raises(ValueError, match="log_beta overflows"):
+            regularized_incomplete_beta(0.5, 1e308, 1e308)
 
 
 class TestRegularizedIncompleteBeta:
@@ -145,6 +158,24 @@ def _crossing_cases():
     pairs += [(8608.0, 0.0138), (2.0, 5e-324), (1.1e-4, 1.95e5), (6.7e5, 6.5e-4)]
     pairs += [(n, 0.0) for n in (1e-6, 0.37, 1.0, 45.0, 8608.0, 1e6)]
     return pairs
+
+
+def _unit_crossings(r, s):
+    """(x, 1 − x, a, b) at each unit crossing of the density of ⟨r, s⟩ ≠ ⟨0, 0⟩.
+
+    The left crossing x_lo comes with its tail's shapes (r+1, s+1), and the
+    right one as w = 1 − x_hi with (s+1, r+1).  One-sided evidence has only
+    one, at (n+1)^(−1/n) on the side of its count.  There are none when the
+    density never rises above uniform (only by rounding, at tiny totals).
+    """
+    if r == 0.0 or s == 0.0:
+        n = r + s
+        logs = [-math.log1p(n) / n]
+        shapes = [(n + 1.0, 1.0)]
+    else:
+        logs = _log_crossings(r, s) or []
+        shapes = [(r + 1.0, s + 1.0), (s + 1.0, r + 1.0)]
+    return [(math.exp(t), -math.expm1(t), a, b) for t, (a, b) in zip(logs, shapes)]
 
 
 class TestCrossingTail:
