@@ -26,12 +26,12 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Evidence, expected_quality
+from .core import Evidence, _quality
 from .errors import FeedbackFormatError
 from .simulation import BehaviorProfile, Probability, _fold, _streams, behavior_sequence
-from .updates import HistoryState
+from .updates import _FIRST_HISTORY_TRUST
 
 __all__ = [
     "FeedbackRecord",
@@ -88,18 +88,18 @@ def normalize_rating(rating: int) -> float:
     return (rating - 1) / 4.0
 
 
-def _feedback_evidence(v: float) -> Evidence:
-    """A normalized feedback as ten transactions at that value: ⟨10v, 10(1−v)⟩."""
-    return Evidence(10.0 * v, 10.0 * (1.0 - v))
+def _feedback_evidence(v: float) -> Tuple[float, float]:
+    """A normalized feedback as ten transactions at that value: (10v, 10(1−v))."""
+    return 10.0 * v, 10.0 * (1.0 - v)
 
 
 def rating_to_evidence(rating: int) -> Evidence:
     """A rating as ten transactions at its normalized value: ⟨10v, 10(1−v)⟩."""
-    return _feedback_evidence(normalize_rating(rating))
+    return Evidence(*_feedback_evidence(normalize_rating(rating)))
 
 
-# Every rating's evidence, built once for the feedback folds.
-_RATING_EVIDENCE = {rating: rating_to_evidence(rating) for rating in range(1, 6)}
+# Every rating's evidence as float pairs, built once for the feedback folds.
+_RATING_EVIDENCE = {rating: _feedback_evidence(normalize_rating(rating)) for rating in range(1, 6)}
 
 
 def parse_feedback_csv(text: str) -> List[FeedbackRecord]:
@@ -182,7 +182,10 @@ def predict_feedback(history: Sequence[float], config: AmazonConfig) -> float:
     keep = _keep(config)
     if keep is not None and not history:
         raise ValueError(f"{AmazonMode(config.mode).value} prediction requires a non-empty history")
-    return expected_quality(_fold(map(_feedback_evidence, history), history, keep)[1].carried)
+    for v in history:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"normalized feedback must be in [0, 1], got {v!r}")
+    return _quality(*_fold(map(_feedback_evidence, history), history, keep)[1][:2])
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,7 @@ def run_amazon_experiment(
         # The first feedback has no predecessors: each fold starts from it.
         # (Folding it in from nothing gives the same state: an empty history
         # has certainty 0, so the history trust does not move.)
-        start = HistoryState(_RATING_EVIDENCE[first.rating])
+        start = _RATING_EVIDENCE[first.rating] + _FIRST_HISTORY_TRUST
         for config in configs:
             gap = _fold(evidence, values, _keep(config), start)[0]
             mode = AmazonMode(config.mode)

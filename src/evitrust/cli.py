@@ -139,7 +139,8 @@ _MAX_GRID_POINTS = 10_001
 
 
 def _parse_grid(text: str) -> List[float]:
-    """Parse 'lo:hi:step' into a grid of rates, each in [0, 1]."""
+    """Parse 'lo:hi:step' into a grid of rates, each in [0, 1] and rounded to
+    10 digits; a step so small that rounded points repeat is an error."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected 'lo:hi:step', got {text!r}")
@@ -164,6 +165,11 @@ def _parse_grid(text: str) -> List[float]:
             break
         values.append(round(v, 10))
         k += 1
+    # Rounding is monotone, so a repeated point repeats its predecessor.
+    if any(a == b for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(
+            f"grid points repeat once rounded to 10 digits; use a larger step, got {text!r}"
+        )
     return values
 
 
@@ -228,64 +234,77 @@ def _add_command(sub, name: str, about: str, *shared: str) -> _Parser:
     return p
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The CLI parser.  Named a command, it builds only that subcommand, the
+    one that parsing reaches; with no command, ``-h`` or an unknown command
+    it builds all of them, so that help and the list of choices are whole."""
     parser = _Parser(prog="evitrust", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    build_all = command not in _COMMANDS
 
-    p = _add_command(sub, "certainty", "certainty of evidence ⟨r, s⟩")
-    p.add_argument("r", type=float)
-    p.add_argument("s", type=float)
+    def add(name: str, about: str, *shared: str) -> Optional[_Parser]:
+        return _add_command(sub, name, about, *shared) if build_all or name == command else None
 
-    p = _add_command(sub, "accuracy", "accuracy q of a report vs. an observation")
-    p.add_argument("--method", required=True,
-                   help="linear | max-certainty | sensitivity | average")
-    p.add_argument("--observed", required=True, type=_parse_evidence, metavar="R,S")
-    p.add_argument("--report", required=True, type=_parse_evidence, metavar="R,S")
+    if p := add("certainty", "certainty of evidence ⟨r, s⟩"):
+        p.add_argument("r", type=float)
+        p.add_argument("s", type=float)
 
-    p = _add_command(sub, "update", "one trust update of a report's source")
-    p.add_argument("--method", required=True, type=_parse_update_method,
-                   help=" | ".join(m.value for m in UpdateMethod if m is not UpdateMethod.AVERAGE_ALPHA))
-    p.add_argument("--beta", type=_parse_rate, default=0.2, help="forgetting rate (default 0.2)")
-    p.add_argument("--observed", required=True, type=_parse_evidence, metavar="R,S")
-    p.add_argument("--report", required=True, type=_parse_evidence, metavar="R,S")
-    p.add_argument("--prior", type=_parse_evidence, default=(1.0, 1.0), metavar="R,S",
-                   help="prior trust in the source (default 1,1)")
+    if p := add("accuracy", "accuracy q of a report vs. an observation"):
+        p.add_argument("--method", required=True,
+                       help="linear | max-certainty | sensitivity | average")
+        p.add_argument("--observed", required=True, type=_parse_evidence, metavar="R,S")
+        p.add_argument("--report", required=True, type=_parse_evidence, metavar="R,S")
+
+    if p := add("update", "one trust update of a report's source"):
+        p.add_argument("--method", required=True, type=_parse_update_method,
+                       help=" | ".join(m.value for m in UpdateMethod
+                                       if m is not UpdateMethod.AVERAGE_ALPHA))
+        p.add_argument("--beta", type=_parse_rate, default=0.2,
+                       help="forgetting rate (default 0.2)")
+        p.add_argument("--observed", required=True, type=_parse_evidence, metavar="R,S")
+        p.add_argument("--report", required=True, type=_parse_evidence, metavar="R,S")
+        p.add_argument("--prior", type=_parse_evidence, default=(1.0, 1.0), metavar="R,S",
+                       help="prior trust in the source (default 1,1)")
 
     # The run-dependent flags default to None; _RUN_FLAGS holds their defaults.
-    p = _add_command(sub, "simulate", "run one experiment, write the series", "--format", "--seed")
-    p.add_argument("--experiment", required=True, choices=("referrer", "combine", "history"))
-    p.add_argument("--profile", type=parse_profile, help="e.g. periodic, rumor:50,10 (referrer, "
-                   "default truthful; history, default probability:0.9)")
-    p.add_argument("--method", type=_parse_update_method,
-                   help="referrer update (referrer and combine; default AverageBeta)")
-    p.add_argument("--mode", type=_parse_history_mode,
-                   help="Amazon | FixedBeta | TrustInHistory (history; default TrustInHistory)")
-    p.add_argument("--beta", type=_parse_rate,
-                   help="forgetting rate (referrer, combine and FixedBeta history; default 0.2)")
-    p.add_argument("--timesteps", type=_parse_count, default=100)
-    p.add_argument("--tx", type=_parse_count, default=50, help="transactions per step (default 50)")
-    p.add_argument("--switch", type=int, help="corruption step (combine; default 50)")
+    if p := add("simulate", "run one experiment, write the series", "--format", "--seed"):
+        p.add_argument("--experiment", required=True, choices=("referrer", "combine", "history"))
+        p.add_argument("--profile", type=parse_profile,
+                       help="e.g. periodic, rumor:50,10 (referrer, "
+                       "default truthful; history, default probability:0.9)")
+        p.add_argument("--method", type=_parse_update_method,
+                       help="referrer update (referrer and combine; default AverageBeta)")
+        p.add_argument("--mode", type=_parse_history_mode,
+                       help="Amazon | FixedBeta | TrustInHistory (history; default TrustInHistory)")
+        p.add_argument("--beta", type=_parse_rate,
+                       help="forgetting rate (referrer, combine and FixedBeta history; "
+                       "default 0.2)")
+        p.add_argument("--timesteps", type=_parse_count, default=100)
+        p.add_argument("--tx", type=_parse_count, default=50,
+                       help="transactions per step (default 50)")
+        p.add_argument("--switch", type=int, help="corruption step (combine; default 50)")
 
-    p = _add_command(sub, "sweep", "error vs. beta over a grid", "--format", "--seed")
-    p.add_argument("--experiment", choices=("referrer", "history"), default="history")
-    p.add_argument("--profiles", required=True, type=_split_profiles,
-                   help="comma-separated profile specs, e.g. probability:0.9,periodic")
-    p.add_argument("--beta-grid", required=True, type=_parse_grid, metavar="LO:HI:STEP")
-    p.add_argument("--method", type=_parse_update_method,
-                   help="referrer update (referrer; default AverageBeta)")
-    p.add_argument("--mode", type=_parse_history_mode,
-                   help="Amazon | FixedBeta | TrustInHistory (history; default FixedBeta)")
-    p.add_argument("--seeds", type=_parse_count, default=5,
-                   help="seeds averaged per grid point (default 5)")
-    p.add_argument("--timesteps", type=_parse_count, default=100)
-    p.add_argument("--tx", type=_parse_count, default=50)
+    if p := add("sweep", "error vs. beta over a grid", "--format", "--seed"):
+        p.add_argument("--experiment", choices=("referrer", "history"), default="history")
+        p.add_argument("--profiles", required=True, type=_split_profiles,
+                       help="comma-separated profile specs, e.g. probability:0.9,periodic")
+        p.add_argument("--beta-grid", required=True, type=_parse_grid, metavar="LO:HI:STEP")
+        p.add_argument("--method", type=_parse_update_method,
+                       help="referrer update (referrer; default AverageBeta)")
+        p.add_argument("--mode", type=_parse_history_mode,
+                       help="Amazon | FixedBeta | TrustInHistory (history; default FixedBeta)")
+        p.add_argument("--seeds", type=_parse_count, default=5,
+                       help="seeds averaged per grid point (default 5)")
+        p.add_argument("--timesteps", type=_parse_count, default=100)
+        p.add_argument("--tx", type=_parse_count, default=50)
 
-    p = _add_command(sub, "amazon", "feedback-prediction error table", "--format")
-    p.add_argument("--input", default=None, metavar="FILE",
-                   help="feedback CSV (seller_id,t,rating); default: bundled sample")
-    p.add_argument("--lambda-grid", type=_parse_grid, default="0:1:0.1", metavar="LO:HI:STEP",
-                   help="geometric-weight retention grid (default 0:1:0.1)")
+    if p := add("amazon", "feedback-prediction error table", "--format"):
+        p.add_argument("--input", default=None, metavar="FILE",
+                       help="feedback CSV (seller_id,t,rating); default: bundled sample")
+        p.add_argument("--lambda-grid", type=_parse_grid, default="0:1:0.1",
+                       metavar="LO:HI:STEP",
+                       help="geometric-weight retention grid (default 0:1:0.1)")
 
     return parser
 
@@ -467,7 +486,8 @@ _COMMANDS = {
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit status instead of raising."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.command is None:

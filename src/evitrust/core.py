@@ -310,7 +310,8 @@ def _excess(t: float, a: float, b: float) -> float:
 def _log_crossings(r: float, s: float) -> Optional[Tuple[float, float]]:
     """(log x_lo, log(1 − x_hi)) for the unit crossings of the density of
     ⟨r, s⟩ with r, s > 0; None when the density never rises above uniform
-    (only by rounding, at tiny totals).
+    (only by rounding, at tiny totals).  From a total of 1 on, the peak
+    density is at least 1.27, so there that rounding raises ValueError.
     """
     n = r + s
     lbeta = log_beta(r + 1.0, s + 1.0)
@@ -321,6 +322,9 @@ def _log_crossings(r: float, s: float) -> Optional[Tuple[float, float]]:
     u_peak = math.log(s) - log_n
     height = -lbeta + r * t_peak + s * u_peak
     if height <= 0.0:
+        if n >= 1.0:
+            raise ValueError(f"the certainty of evidence r={r!r}, s={s!r} is lost to rounding: "
+                             "its peak density cancels to at most 1")
         return None
     return (_log_crossing(r, s, lbeta, t_peak, height),
             _log_crossing(s, r, lbeta, u_peak, height))
@@ -328,11 +332,18 @@ def _log_crossings(r: float, s: float) -> Optional[Tuple[float, float]]:
 
 def to_belief(e: Evidence) -> Belief:
     """Evidence → belief: ⟨α·c, (1−α)·c, 1−c⟩ with α the expected quality."""
-    c = certainty(e)
+    b, d, c = _belief(e.r, e.s)
+    return Belief(b, d, 1.0 - c)
+
+
+def _belief(r: float, s: float) -> Tuple[float, float, float]:
+    """:func:`to_belief` of plain counts, as (b, d, c) with c = 1 − u."""
+    c = _certainty(r, s)
     if c == 0.0:
-        return Belief(0.0, 0.0, 1.0)
+        return 0.0, 0.0, 0.0
     # s/n rather than 1 − r/n keeps the minority share exact when α ≈ 1.
-    return Belief(e.r / e.total * c, e.s / e.total * c, 1.0 - c)
+    total = r + s
+    return r / total * c, s / total * c, c
 
 
 def _one_sided(n: float) -> Tuple[float, float]:
@@ -473,14 +484,19 @@ def from_belief(t: Belief) -> Evidence:
     when the certainty at MAX_EVIDENCE_TOTAL falls short of 1−u by more than
     1e-9; within 1e-9 the total is MAX_EVIDENCE_TOTAL.
     """
-    target = t.certainty
-    mass = t.b + t.d
+    return Evidence(*_from_belief(t.b, t.d, t.u))
+
+
+def _from_belief(b: float, d: float, u: float) -> Tuple[float, float]:
+    """:func:`from_belief` of the masses of a valid belief, as (r, s)."""
+    target = 1.0 - u
+    mass = b + d
     if target <= 0.0 or mass <= 0.0:
-        return Evidence(0.0, 0.0)
-    share_r, share_s = t.b / mass, t.d / mass
+        return 0.0, 0.0
+    share_r, share_s = b / mass, d / mass
 
     def what() -> str:
-        return f"belief {t} (alpha={share_r!r})"
+        return f"belief {Belief(b, d, u)} (alpha={share_r!r})"
 
     def one_sided_shortfall(log_total: float) -> float:
         return _one_sided(math.exp(log_total))[0] - target
@@ -513,4 +529,4 @@ def from_belief(t: Belief) -> Evidence:
             best_estimate=best,
         )
     total = math.exp(log_total)
-    return Evidence(share_r * total, share_s * total)
+    return share_r * total, share_s * total

@@ -8,16 +8,17 @@ Two operators move trust through a referral network:
 
 Concatenation lives in belief space and aggregation in evidence space, so
 :func:`combine_referrals` converts each report to a belief, discounts it,
-converts the result back to evidence, and sums.  Paths are assumed mutually
-independent (non-overlapping); detecting overlap is out of scope here.
+converts the result back to evidence, and sums, all on plain floats.  Paths
+are assumed mutually independent (non-overlapping); detecting overlap is out
+of scope here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Tuple
 
-from .core import Belief, Evidence, from_belief, to_belief
+from .core import Belief, Evidence, _belief, _from_belief
 
 __all__ = ["ReferralPath", "concatenate", "aggregate", "combine_referrals"]
 
@@ -60,8 +61,17 @@ def combine_referrals(paths: Iterable[ReferralPath]) -> Evidence:
     paths = list(paths)
     if not paths:
         raise ValueError("combine_referrals requires at least one referral path")
-    combined = Evidence(0.0, 0.0)
-    for path in paths:
-        discounted = concatenate(path.referrer_trust, to_belief(path.report))
-        combined = aggregate(combined, from_belief(discounted))
-    return combined
+    return Evidence(*_combine((p.referrer_trust.b, p.report.r, p.report.s) for p in paths))
+
+
+def _combine(paths: Iterable[Tuple[float, float, float]]) -> Tuple[float, float]:
+    """:func:`combine_referrals` of paths given as (b_R, r′, s′): the client's
+    belief mass in the referrer and the report's counts."""
+    r = s = 0.0
+    for b_r, r_report, s_report in paths:
+        b, d, _ = _belief(r_report, s_report)
+        b, d = b_r * b, b_r * d  # concatenation
+        path_r, path_s = _from_belief(b, d, 1.0 - b - d)
+        r += path_r
+        s += path_s
+    return r, s

@@ -19,7 +19,11 @@ the same observations, building no records.
 Determinism contract: every random draw comes from numpy PCG64 generators
 derived from the experiment seed with a fixed spawn layout (one independent
 stream per role), so a (config, seed) pair reproduces byte-identical output
-regardless of host or what else has run in the process.
+regardless of host or what else has run in the process.  A stream's
+transaction counts are drawn in one ``binomial`` call, which gives the same
+counts as one call per step and leaves the stream in the same state; behavior
+values are drawn step by step.  The drivers run on plain floats and build
+Evidence only for their records.
 
 Behavior profiles (per-step quality X_t in [0, 1]):
 
@@ -51,13 +55,13 @@ import numpy as np
 # package, so that the first draw does not pay for the import.
 import numpy.random
 
-from .core import Evidence, _quality, certainty, expected_quality, to_belief
-from .propagation import ReferralPath, combine_referrals
+from .core import Evidence, _belief, _quality, certainty, expected_quality
+from .propagation import _combine
 from .updates import (
-    HistoryState,
+    _FIRST_HISTORY_TRUST,
     UpdateConfig,
     UpdateMethod,
-    history_update,
+    _history_step,
     update_referrer,
 )
 
@@ -209,8 +213,16 @@ def sample_transactions(x: float, n: int, rng: np.random.Generator) -> Evidence:
         raise ValueError(f"x must be in [0, 1], got {x}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    k = int(rng.binomial(n, x))
-    return Evidence(float(k), float(n - k))
+    return Evidence(*_transactions((x,), n, rng)[0])
+
+
+def _transactions(
+    xs: Sequence[float], n: int, rng: np.random.Generator
+) -> List[Tuple[float, float]]:
+    """Outcome counts (k, n−k) of n transactions at each quality in ``xs``,
+    from one ``binomial`` call: the same counts, and the same stream state
+    after, as one call per quality."""
+    return [(float(k), float(n - k)) for k in rng.binomial(n, xs).tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -422,7 +434,8 @@ def _streams(seed: int, n: int) -> List[np.random.Generator]:
 
 def _provider_draws(config: ExperimentConfig, n: int, rng: np.random.Generator) -> List[Evidence]:
     """A batch of n transactions with the fixed provider at every step."""
-    return [sample_transactions(_PROVIDER_QUALITY, n, rng) for _ in range(config.timesteps)]
+    draws = _transactions([_PROVIDER_QUALITY] * config.timesteps, n, rng)
+    return [Evidence(k, m) for k, m in draws]
 
 
 def _track_referrers(
@@ -442,13 +455,16 @@ def _track_referrers(
     ucfg = UpdateConfig(method=config.method, beta=config.beta)
     # The prior ⟨1, 1⟩ encodes willingness to consider a stranger's referrals.
     trusts = (Evidence(1.0, 1.0),) * len(reports[0])
+    draws = _transactions([_PROVIDER_QUALITY] * len(reports), config.tx_per_step, rng_client)
     records: List[TimestepRecord] = []
     history: List[Tuple[Evidence, ...]] = []
-    for t, step in enumerate(reports, 1):
-        predicted = combine_referrals(
-            ReferralPath(to_belief(trust), report) for trust, report in zip(trusts, step)
-        )
-        observed = sample_transactions(_PROVIDER_QUALITY, config.tx_per_step, rng_client)
+    for t, (step, draw) in enumerate(zip(reports, draws), 1):
+        # Each report discounted by the belief mass b_R of the trust in its referrer.
+        predicted = Evidence(*_combine(
+            (_belief(trust.r, trust.s)[0], report.r, report.s)
+            for trust, report in zip(trusts, step)
+        ))
+        observed = Evidence(*draw)
         trusts = tuple(
             update_referrer(ucfg, observed, report, trust) for trust, report in zip(trusts, step)
         )
@@ -535,59 +551,68 @@ def run_combination_experiment(
     return CombinationResult(records, good_trust, bad_trust, switch_step)
 
 
-def _history_observations(config: ExperimentConfig, profile: BehaviorProfile) -> List[Evidence]:
-    """The observed ⟨k, n−k⟩ of every step of a history run.
+def _history_observations(
+    config: ExperimentConfig, profile: BehaviorProfile
+) -> List[Tuple[float, float]]:
+    """The observed (k, n−k) of every step of a history run.
 
     This is all the randomness of the run: the behavior stream draws X_1..X_T
     and the transaction stream draws ``tx_per_step`` outcomes at each X_t.
     """
     rng_behavior, rng_tx = _streams(config.seed, 2)
     xs = behavior_sequence(profile, rng_behavior, config.timesteps)
-    return [sample_transactions(x, config.tx_per_step, rng_tx) for x in xs]
+    return _transactions(xs, config.tx_per_step, rng_tx)
 
 
 def _keep(mode: HistoryMode, beta: float) -> Optional[float]:
     """The retention of a history mode: 1 for Amazon, 1 − β for FixedBeta,
-    None for TrustInHistory (:func:`history_update` sets it each step)."""
+    None for TrustInHistory (the history update sets it each step)."""
     if mode is HistoryMode.TRUST_IN_HISTORY:
         return None
     return 1.0 if mode is HistoryMode.AMAZON else 1.0 - beta
 
 
+# A history state: the carried evidence and the history trust (r, s, trust_r,
+# trust_s), as :class:`~evitrust.updates.HistoryState` holds them.
+_NO_HISTORY = (0.0, 0.0) + _FIRST_HISTORY_TRUST
+
+
 def _fold(
-    observed: Iterable[Evidence],
+    observed: Iterable[Tuple[float, float]],
     alphas: Iterable[float],
     keep: Optional[float],
-    state: HistoryState = HistoryState(),
-) -> Tuple[float, HistoryState]:
+    state: Tuple[float, float, float, float] = _NO_HISTORY,
+) -> Tuple[float, Tuple[float, float, float, float]]:
     """The one history predictor, folded over ``observed`` from ``state``.
 
-    The prediction for each observation is the expected quality of the
-    evidence carried before it, and its gap is |prediction − α| with α that
-    observation's expected quality from ``alphas``.  The observation then
-    updates the carried evidence.  With a retention ``keep`` it is
+    The prediction for each observation (k, n−k) is the expected quality of
+    the evidence carried before it, and its gap is |prediction − α| with α
+    that observation's expected quality from ``alphas``.  The observation
+    then updates the carried evidence.  With a retention ``keep`` it is
     discounted, r ← r·keep + k, s ← s·keep + (n−k): Amazon keeps everything
     (keep = 1.0; x·1.0 = x, so this is the plain running sum) and FixedBeta
-    keeps 1 − β.  With ``keep`` None (TrustInHistory), :func:`history_update`
-    sets the retention from the consistency of the observation with the
-    history, and moves the history trust, which the discount leaves alone.
+    keeps 1 − β.  With ``keep`` None (TrustInHistory), the float step of
+    :func:`~evitrust.updates.history_update` sets the retention from the
+    consistency of the observation with the history, and moves the history
+    trust, which the discount leaves alone.
 
     Returns the gaps, summed left to right so that the same gaps give the
     same float on any Python (3.12 made ``sum`` of floats compensated), and
     the state after the last observation.
     """
     gap = 0.0
+    r, s, trust_r, trust_s = state
     if keep is None:
-        for obs, alpha in zip(observed, alphas):
-            gap += abs(expected_quality(state.carried) - alpha)
-            state = history_update(state, obs).state
-        return gap, state
-    r, s = state.carried.r, state.carried.s
-    for obs, alpha in zip(observed, alphas):
-        gap += abs(_quality(r, s) - alpha)
-        r = r * keep + obs.r
-        s = s * keep + obs.s
-    return gap, HistoryState(Evidence(r, s), state.history_trust)
+        for (k, m), alpha in zip(observed, alphas):
+            gap += abs(_quality(r, s) - alpha)
+            r, s, trust_r, trust_s = _history_step(r, s, trust_r, trust_s, k, m)
+        return gap, (r, s, trust_r, trust_s)
+    for (k, m), alpha in zip(observed, alphas):
+        total = r + s
+        gap += abs((0.5 if total == 0 else r / total) - alpha)
+        r = r * keep + k
+        s = s * keep + m
+    return gap, (r, s, trust_r, trust_s)
 
 
 def run_history_experiment(
@@ -601,9 +626,9 @@ def run_history_experiment(
     profile's X_t.  The prediction for the step is the expected quality of
     the evidence carried *before* observing.  The carried evidence then
     updates per mode: Amazon keeps everything; FixedBeta retains a (1−β)
-    fraction; TrustInHistory lets :func:`history_update` set the retention
-    from the consistency of the new observation with the history (initial
-    history trust ⟨0.9, 0.1⟩).
+    fraction; TrustInHistory lets :func:`~evitrust.updates.history_update`
+    set the retention from the consistency of the new observation with the
+    history (initial history trust ⟨0.9, 0.1⟩).
 
     The record's ``discount`` column holds the history retention weight used
     that step (1 for Amazon, 1−β for FixedBeta, the adaptive weight for
@@ -615,18 +640,18 @@ def run_history_experiment(
     """
     mode = HistoryMode(mode)
     keep = _keep(mode, config.beta)
-    state = HistoryState()
+    state = _NO_HISTORY
     records: List[TimestepRecord] = []
     for t, obs in enumerate(_history_observations(config, profile), 1):
-        predicted, alpha_obs = state.carried, expected_quality(obs)
+        predicted, alpha_obs = Evidence(*state[:2]), _quality(*obs)
         state = _fold((obs,), (alpha_obs,), keep, state)[1]
         if keep is None:
-            # history_update's discount is the expected quality of the new trust.
-            trust_state, retention = state.history_trust, expected_quality(state.history_trust)
+            # The update's discount is the expected quality of the new trust.
+            trust_state, retention = Evidence(*state[2:]), _quality(*state[2:])
         else:
-            trust_state, retention = state.carried, keep
-        records.append(TimestepRecord(t, predicted, obs, expected_quality(predicted), alpha_obs,
-                                      trust_state, retention))
+            trust_state, retention = Evidence(*state[:2]), keep
+        records.append(TimestepRecord(t, predicted, Evidence(*obs), expected_quality(predicted),
+                                      alpha_obs, trust_state, retention))
     return records
 
 
@@ -649,7 +674,7 @@ def history_errors(
         if not (0.0 <= b <= 1.0):
             raise ValueError(f"beta must be in [0, 1], got {b}")
     observed = _history_observations(config, profile)
-    alphas = [expected_quality(obs) for obs in observed]
+    alphas = [_quality(k, m) for k, m in observed]
 
     def error(keep: Optional[float]) -> float:
         return _fold(observed, alphas, keep)[0] / len(observed)

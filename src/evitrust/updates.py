@@ -39,9 +39,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
-from .core import Evidence, certainty, expected_quality
+from .core import Evidence, _certainty, _quality, certainty, expected_quality
 
 __all__ = [
     "UpdateMethod",
@@ -84,6 +84,10 @@ class UpdateConfig:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 
 
+# The history trust that a provider's history starts with (see HistoryState).
+_FIRST_HISTORY_TRUST = (0.9, 0.1)
+
+
 @dataclass(frozen=True)
 class HistoryState:
     """Carried, discounted history of a provider plus the trust placed in it.
@@ -94,7 +98,7 @@ class HistoryState:
     """
 
     carried: Evidence = field(default_factory=lambda: Evidence(0.0, 0.0))
-    history_trust: Evidence = field(default_factory=lambda: Evidence(0.9, 0.1))
+    history_trust: Evidence = field(default_factory=lambda: Evidence(*_FIRST_HISTORY_TRUST))
 
     def __post_init__(self):
         if self.history_trust.total <= 0:
@@ -184,7 +188,11 @@ def accuracy_average(alpha: float, report: Evidence) -> float:
     (m = 1/2, v = 1/12).
     """
     _check_unit("alpha", alpha)
-    rp, sp = report.r, report.s
+    return _average_accuracy(alpha, report.r, report.s)
+
+
+def _average_accuracy(alpha: float, rp: float, sp: float) -> float:
+    """:func:`accuracy_average` against a report of plain counts ⟨r′, s′⟩."""
     n = rp + sp + 2.0
     m = (rp + 1.0) / n
     v = (rp + 1.0) * (sp + 1.0) / (n * n * (rp + sp + 3.0))
@@ -254,23 +262,24 @@ def history_update(state: HistoryState, observed: Evidence) -> HistoryUpdate:
     With no observation (total 0) the state is returned unchanged: an empty
     observation has certainty 0 and cannot move anything.
     """
-    discount = expected_quality(state.history_trust)
-    if observed.total <= 0:
-        return HistoryUpdate(state.carried, state, discount)
+    carried, trust = state.carried, state.history_trust
+    r, s, trust_r, trust_s = _history_step(carried.r, carried.s, trust.r, trust.s,
+                                           observed.r, observed.s)
+    combined, trust = Evidence(r, s), Evidence(trust_r, trust_s)
+    return HistoryUpdate(combined, HistoryState(combined, trust), expected_quality(trust))
 
-    alpha = expected_quality(observed)
-    c = certainty(observed)
-    c_hist = certainty(state.carried)
-    q = accuracy_average(alpha, state.carried)
 
-    weight = c * c_hist
-    trust = Evidence(
-        state.history_trust.r + weight * q,
-        state.history_trust.s + weight * (1.0 - q),
-    )
-    discount = expected_quality(trust)
-    combined = Evidence(
-        observed.r + discount * state.carried.r,
-        observed.s + discount * state.carried.s,
-    )
-    return HistoryUpdate(combined, HistoryState(combined, trust), discount)
+def _history_step(
+    r: float, s: float, trust_r: float, trust_s: float, obs_r: float, obs_s: float
+) -> Tuple[float, float, float, float]:
+    """:func:`history_update` on plain floats: the carried evidence ⟨r, s⟩
+    and the history trust after observing ⟨obs_r, obs_s⟩, which leaves both
+    alone when it is empty."""
+    if obs_r + obs_s <= 0:
+        return r, s, trust_r, trust_s
+    weight = _certainty(obs_r, obs_s) * _certainty(r, s)
+    q = _average_accuracy(_quality(obs_r, obs_s), r, s)
+    trust_r += weight * q
+    trust_s += weight * (1.0 - q)
+    discount = _quality(trust_r, trust_s)
+    return obs_r + discount * r, obs_s + discount * s, trust_r, trust_s

@@ -115,6 +115,12 @@ class TestPredictFeedback:
         pred = predict_feedback([], AmazonConfig(mode=AmazonMode.TRUST_IN_HISTORY))
         assert pred == 0.5
 
+    @pytest.mark.parametrize("mode", list(AmazonMode))
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan"), float("inf")])
+    def test_feedback_outside_unit_interval_is_value_error(self, mode, bad):
+        with pytest.raises(ValueError):
+            predict_feedback([0.5, bad, 0.75], AmazonConfig(mode=mode))
+
 
 class TestRunAmazonExperiment:
     def seller(self, ratings, seller="s1"):

@@ -7,7 +7,15 @@ from typing import get_args
 
 import pytest
 
-from evitrust.cli import _RUN_FLAGS, _build_parser, _parse_grid, cli_main, parse_profile
+from evitrust.cli import (
+    _COMMANDS,
+    _RUN_FLAGS,
+    _build_parser,
+    _parse_grid,
+    _UsageError,
+    cli_main,
+    parse_profile,
+)
 from evitrust.core import Evidence, expected_quality
 from evitrust.errors import ConvergenceError
 from evitrust.simulation import _PROFILES, BehaviorProfile, ReferrerProfile
@@ -47,6 +55,13 @@ class TestCertaintyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: log_beta overflows") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", ["1e16", "3e17"])
+    def test_certainty_lost_to_rounding_is_one_line_data_error(self, capsys, n):
+        code, out, err = run(capsys, "certainty", n, n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the certainty of evidence r=") and err.count("\n") == 1
 
 
 class TestAccuracyCommand:
@@ -515,6 +530,21 @@ class TestExitCodes:
         assert flag in err and "10001 points" in err
         assert out == ""
 
+    @pytest.mark.parametrize("grid", ["0.5:0.5:1e-13", "0:1e-9:3e-11"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["amazon"], "--lambda-grid"),
+        (["sweep", "--profiles", "periodic"], "--beta-grid"),
+    ])
+    def test_grid_whose_rounded_points_repeat_is_usage_error(self, capsys, argv, flag, grid):
+        code, out, err = run(capsys, *argv, f"{flag}={grid}")
+        assert code == 1
+        assert flag in err and "repeat" in err
+        assert out == ""
+
+    def test_grid_at_the_rounding_step_accepted(self):
+        grid = _parse_grid("0:1e-9:1e-10")
+        assert len(set(grid)) == len(grid) == 11
+
     def test_grid_of_10001_points_accepted(self):
         grid = _parse_grid("0:1:1e-4")
         assert len(grid) == 10001
@@ -586,12 +616,51 @@ def test_every_flag_the_table_lists_is_read(capsys, command, experiment, flag):
     assert out != default_out
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _option_flags(command):
     """The subcommand's options, each by its long flag, with its default."""
-    parser = _build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.option_strings[-1]: a.default for a in sub.choices[command]._actions
+    return {a.option_strings[-1]: a.default for a in _subparsers(_build_parser())[command]._actions
             if a.option_strings and a.dest != "help"}
+
+
+def _parse_outcome(parser, argv):
+    """The parsed flags, or the usage error's text."""
+    try:
+        return vars(parser.parse_args(argv))
+    except _UsageError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_parser_built_for_one_command_matches_the_full_parser(command):
+    one, full = _build_parser(command), _build_parser()
+    assert list(_subparsers(one)) == [command]
+    assert _subparsers(one)[command].format_help() == _subparsers(full)[command].format_help()
+    for argv in ([command], [command, "--frob"], [command, "--out"], [command, "--format", "x"],
+                 [command, "--seed", "-1"], [command, "1", "2", "3"]):
+        assert _parse_outcome(one, argv) == _parse_outcome(full, argv), argv
+
+
+def test_top_level_help_and_unknown_command_list_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == _build_parser().format_help()
+    assert all(f"    {command} " in out for command in _COMMANDS)
+    code, _, err = run(capsys, "frobnicate")
+    assert code == 1
+    assert all(repr(command) in err for command in _COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_command_help_is_the_full_parsers(capsys, command):
+    with pytest.raises(SystemExit):
+        cli_main([command, "--help"])
+    assert capsys.readouterr().out == _subparsers(_build_parser())[command].format_help()
 
 
 # The options that every run of a command reads.

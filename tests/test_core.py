@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,18 @@ class TestCertaintyAcrossDomain:
         assert [certainty(Evidence(r, s)) for r, s in pairs] == first
         core._certainty.cache_clear()
         assert [certainty(Evidence(r, s)) for r, s in pairs] == first
+
+    @pytest.mark.parametrize("n", [1e16, 3e17, 1e100])
+    def test_peak_lost_to_rounding_is_value_error_naming_the_counts(self, n):
+        # From a total of 1 on the peak density is at least 1.27, so a peak
+        # that cancels to at most 1 is rounding, not a certainty of 0.
+        with pytest.raises(ValueError, match=re.escape(f"r={n!r}, s={n!r}")):
+            certainty(Evidence(n, n))
+
+    @pytest.mark.parametrize("n", [1e-15, 1e-20, 1e-300])
+    def test_tiny_total_whose_peak_rounds_away_keeps_zero(self, n):
+        assert core._log_crossings(n, n) is None
+        assert certainty(Evidence(n, n)) == 0.0
 
 
 def _counting(monkeypatch, name):

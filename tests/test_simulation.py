@@ -32,6 +32,7 @@ from evitrust.simulation import (
     run_referrer_experiment,
     sample_transactions,
 )
+from evitrust.simulation import _transactions
 
 
 def rng(seed=0):
@@ -105,6 +106,22 @@ class TestSampleTransactions:
         g = rng(5)
         for _ in range(50):
             assert sample_transactions(0.37, 50, g).total == 50.0
+
+    @pytest.mark.parametrize("n", [7, 50, 1000, 10**5])
+    def test_one_binomial_call_matches_per_step_draws(self, n):
+        """The drivers draw a stream's counts in one call; that must give the
+        counts of one draw per step and leave the stream where they leave it.
+        n·p runs from 0 to 10⁵, so both of numpy's branches (inversion and
+        BTPE) are drawn, and p changes at every step."""
+        ps = [0.0, 0.01, 0.3, 0.5, 0.9, 0.99, 1.0]
+        xs = [p for a in ps for b in ps for p in (a, b)]
+        scalar, per_step, batched = rng(n), rng(n), rng(n)
+        ks = [int(scalar.binomial(n, x)) for x in xs]
+        assert [sample_transactions(x, n, per_step) for x in xs] == [
+            Evidence(float(k), float(n - k)) for k in ks]
+        assert _transactions(xs, n, batched) == [(float(k), float(n - k)) for k in ks]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+        assert per_step.bit_generator.state == scalar.bit_generator.state
 
 
 class TestMakeReport:
