@@ -5,143 +5,21 @@ functional, moved through referral networks by concatenation/aggregation,
 and maintained by update methods that score how accurate each received
 estimate turned out to be.  A deterministic simulation layer and CLI sit on
 top for experiments and feedback-prediction pipelines.
+
+Each module declares its public names once, in its ``__all__``; the package
+re-exports them all.
 """
 
-from .core import (
-    Belief,
-    Evidence,
-    certainty,
-    expected_quality,
-    from_belief,
-    pcdf,
-    to_belief,
-)
-from .errors import ConvergenceError, EvitrustError, FeedbackFormatError
-from .numerics import (
-    log_beta,
-    log_gamma,
-    regularized_incomplete_beta,
-)
-from .propagation import ReferralPath, aggregate, combine_referrals, concatenate
-from .simulation import (
-    BehaviorProfile,
-    CombinationResult,
-    Damping,
-    ExperimentConfig,
-    GoodThenCorrupted,
-    HistoryMode,
-    Honest,
-    Momentum,
-    Periodic,
-    Probability,
-    Random,
-    RandomWalk,
-    ReferrerProfile,
-    Rumor,
-    TimestepRecord,
-    Truthful,
-    behavior_sequence,
-    behavior_value,
-    make_report,
-    prediction_error,
-    history_errors,
-    records_to_csv,
-    records_to_json,
-    run_combination_experiment,
-    run_history_experiment,
-    run_referrer_experiment,
-    sample_transactions,
-)
-from .amazon import (
-    AmazonConfig,
-    AmazonMode,
-    FeedbackRecord,
-    load_feedback_csv,
-    parse_feedback_csv,
-    predict_feedback,
-    rating_to_evidence,
-    run_amazon_experiment,
-    synthesize_feedback,
-)
-from .updates import (
-    HistoryState,
-    HistoryUpdate,
-    UpdateConfig,
-    UpdateMethod,
-    accuracy_average,
-    accuracy_linear,
-    accuracy_max_certainty,
-    accuracy_sensitivity,
-    general_update,
-    history_update,
-    update_referrer,
-)
+from . import errors, numerics, core, propagation, updates, simulation, amazon
+from .errors import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .propagation import *  # noqa: F401,F403
+from .updates import *  # noqa: F401,F403
+from .simulation import *  # noqa: F401,F403
+from .amazon import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Belief",
-    "Evidence",
-    "certainty",
-    "expected_quality",
-    "from_belief",
-    "pcdf",
-    "to_belief",
-    "ConvergenceError",
-    "EvitrustError",
-    "FeedbackFormatError",
-    "log_beta",
-    "log_gamma",
-    "regularized_incomplete_beta",
-    "ReferralPath",
-    "aggregate",
-    "combine_referrals",
-    "concatenate",
-    "HistoryState",
-    "HistoryUpdate",
-    "UpdateConfig",
-    "UpdateMethod",
-    "accuracy_average",
-    "accuracy_linear",
-    "accuracy_max_certainty",
-    "accuracy_sensitivity",
-    "general_update",
-    "history_update",
-    "update_referrer",
-    "BehaviorProfile",
-    "CombinationResult",
-    "Damping",
-    "ExperimentConfig",
-    "GoodThenCorrupted",
-    "HistoryMode",
-    "Honest",
-    "Momentum",
-    "Periodic",
-    "Probability",
-    "Random",
-    "RandomWalk",
-    "ReferrerProfile",
-    "Rumor",
-    "TimestepRecord",
-    "Truthful",
-    "behavior_sequence",
-    "behavior_value",
-    "make_report",
-    "prediction_error",
-    "history_errors",
-    "records_to_csv",
-    "records_to_json",
-    "run_combination_experiment",
-    "run_history_experiment",
-    "run_referrer_experiment",
-    "sample_transactions",
-    "AmazonConfig",
-    "AmazonMode",
-    "FeedbackRecord",
-    "load_feedback_csv",
-    "parse_feedback_csv",
-    "predict_feedback",
-    "rating_to_evidence",
-    "run_amazon_experiment",
-    "synthesize_feedback",
-]
+__all__ = [name for module in (errors, numerics, core, propagation, updates, simulation, amazon)
+           for name in module.__all__]

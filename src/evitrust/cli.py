@@ -104,12 +104,13 @@ def _parse_evidence(text: str) -> Tuple[float, float]:
 
 
 def _parse_count(text: str) -> int:
+    """Parse a count in [1, 2**63 - 1]; numpy's binomial takes no larger one."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if not 1 <= n <= 2**63 - 1:
+        raise argparse.ArgumentTypeError(f"must be in [1, 2**63 - 1], got {n}")
     return n
 
 
@@ -196,6 +197,11 @@ def parse_profile(text: str):
 
 def _parse_update_method(text: str) -> UpdateMethod:
     key = text.strip().lower()
+    if key == "averagealpha":
+        raise argparse.ArgumentTypeError(
+            "AverageAlpha is a history method, not a referrer update; use "
+            "'simulate --experiment history --mode TrustInHistory'"
+        )
     if key not in _UPDATE_METHODS:
         raise argparse.ArgumentTypeError(
             f"unknown method {text!r}; expected one of {', '.join(m.value for m in UpdateMethod)}"
@@ -258,8 +264,7 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
 
     if p := add("update", "one trust update of a report's source"):
         p.add_argument("--method", required=True, type=_parse_update_method,
-                       help=" | ".join(m.value for m in UpdateMethod
-                                       if m is not UpdateMethod.AVERAGE_ALPHA))
+                       help=" | ".join(m.value for m in UpdateMethod))
         p.add_argument("--beta", type=_parse_rate, default=0.2,
                        help="forgetting rate (default 0.2)")
         p.add_argument("--observed", required=True, type=_parse_evidence, metavar="R,S")
@@ -343,14 +348,7 @@ def _cmd_accuracy(args) -> int:
     return EXIT_OK
 
 
-def _require_referrer_method(method: Optional[UpdateMethod]) -> None:
-    if method is UpdateMethod.AVERAGE_ALPHA:
-        raise _UsageError("AverageAlpha is a history method, not a referrer update; use "
-                          "'simulate --experiment history --mode TrustInHistory'")
-
-
 def _cmd_update(args) -> int:
-    _require_referrer_method(args.method)
     cfg = UpdateConfig(method=args.method, beta=args.beta)
     updated = update_referrer(cfg, Evidence(*args.observed), Evidence(*args.report),
                               Evidence(*args.prior))
@@ -403,7 +401,6 @@ def _require_behavior_profiles(*profiles) -> None:
 
 def _cmd_simulate(args) -> int:
     given = _read_run_flags(args)
-    _require_referrer_method(args.method)
     cfg = _experiment_config(args)
     if args.experiment == "referrer":
         records = run_referrer_experiment(cfg, args.profile)
@@ -427,7 +424,6 @@ def _cmd_sweep(args) -> int:
                           f"{args.seed + args.seeds - 1}, past 2**64 - 1")
     seeds = [args.seed + k for k in range(args.seeds)]
     _read_run_flags(args)
-    _require_referrer_method(args.method)
     if args.experiment == "history":
         _require_behavior_profiles(*args.profiles)
     header = ["profile", "method", "beta", "error"]

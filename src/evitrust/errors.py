@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["EvitrustError", "ConvergenceError", "FeedbackFormatError"]
+
 
 class EvitrustError(Exception):
     """Base class for errors raised by this package."""

@@ -26,7 +26,6 @@ import math
 from .errors import ConvergenceError
 
 __all__ = [
-    "log_gamma",
     "log_beta",
     "regularized_incomplete_beta",
 ]
@@ -36,16 +35,6 @@ __all__ = [
 # and about 55 000 for a = b = 1e12.
 _CF_EPS = 1e-15
 _MAX_CF_STEPS = 100_000
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Raises ValueError for non-positive or non-finite arguments.
-    """
-    if not math.isfinite(x) or x <= 0:
-        raise ValueError(f"log_gamma requires a positive finite argument, got {x}")
-    return math.lgamma(x)
 
 
 def log_beta(a: float, b: float) -> float:

@@ -35,9 +35,9 @@ Behavior profiles (per-step quality X_t in [0, 1]):
     Momentum(gamma, psi)  adds psi·(X_{t-1} - X_{t-2}) to the walk step
 
 Referrer profiles shape the reports a referrer derives from its experience:
-Truthful and Honest pass the experience through, Rumor exaggerates the
-evidence counts after its switch step, GoodThenCorrupted flips the polarity
-of its reports after the switch.
+Truthful (also named Honest) passes the experience through, Rumor exaggerates
+the evidence counts after its switch step, GoodThenCorrupted flips the
+polarity of its reports after the switch.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -207,12 +208,16 @@ def behavior_sequence(
     return values
 
 
+# numpy's binomial takes the transaction count as a signed 64-bit integer.
+_MAX_TRANSACTIONS = 2**63 - 1
+
+
 def sample_transactions(x: float, n: int, rng: np.random.Generator) -> Evidence:
     """Outcome counts ⟨k, n−k⟩ of n independent transactions at quality x."""
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must be in [0, 1], got {x}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= _MAX_TRANSACTIONS:
+        raise ValueError(f"n must be in [1, 2**63 - 1], got {n}")
     return Evidence(*_transactions((x,), n, rng)[0])
 
 
@@ -235,9 +240,8 @@ class Truthful:
     pass
 
 
-@dataclass(frozen=True)
-class Honest:
-    pass
+# An honest referrer reports what it saw, as a truthful one does.
+Honest = Truthful
 
 
 @dataclass(frozen=True)
@@ -248,8 +252,8 @@ class Rumor:
     def __post_init__(self):
         if self.switch_step < 0:
             raise ValueError(f"switch_step must be >= 0, got {self.switch_step}")
-        if self.exaggeration < 1.0:
-            raise ValueError(f"exaggeration must be >= 1, got {self.exaggeration}")
+        if not 1.0 <= self.exaggeration < math.inf:
+            raise ValueError(f"exaggeration must be finite and >= 1, got {self.exaggeration}")
 
 
 @dataclass(frozen=True)
@@ -261,7 +265,7 @@ class GoodThenCorrupted:
             raise ValueError(f"switch_step must be >= 0, got {self.switch_step}")
 
 
-ReferrerProfile = Union[Truthful, Honest, Rumor, GoodThenCorrupted]
+ReferrerProfile = Union[Truthful, Rumor, GoodThenCorrupted]
 
 # Every profile by its CLI name.
 _PROFILES = {
@@ -276,12 +280,12 @@ def make_report(
 ) -> Evidence:
     """The report a referrer with ``profile`` derives from its experience at t.
 
-    Truthful and Honest report the experience unchanged.  Rumor scales both
+    Truthful (Honest) reports the experience unchanged.  Rumor scales both
     counts by its exaggeration factor once t passes the switch step (claiming
     far more evidence than it has).  GoodThenCorrupted reports the polarity
     inversion ⟨s, r⟩ after the switch.
     """
-    if isinstance(profile, (Truthful, Honest)):
+    if isinstance(profile, Truthful):
         return true_experience
     if isinstance(profile, Rumor):
         if t > profile.switch_step:
@@ -332,8 +336,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
-        if self.tx_per_step < 1:
-            raise ValueError(f"tx_per_step must be >= 1, got {self.tx_per_step}")
+        if not 1 <= self.tx_per_step <= _MAX_TRANSACTIONS:
+            raise ValueError(f"tx_per_step must be in [1, 2**63 - 1], got {self.tx_per_step}")
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.seed < 0 or self.seed > 2**64 - 1:

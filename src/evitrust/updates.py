@@ -59,14 +59,16 @@ __all__ = [
 
 
 class UpdateMethod(str, enum.Enum):
-    """Canonical update method identifiers (also accepted by the CLI)."""
+    """Canonical referrer update method identifiers (also accepted by the CLI).
+
+    The history method, AverageAlpha, is :func:`history_update`.
+    """
 
     LINEAR_WS = "LinearWS"
     JOSANG = "Josang"
     MAX_CERTAINTY = "MaxCertainty"
     SENSITIVITY = "Sensitivity"
     AVERAGE_BETA = "AverageBeta"
-    AVERAGE_ALPHA = "AverageAlpha"
 
 
 @dataclass(frozen=True)
@@ -236,13 +238,9 @@ def update_referrer(
     elif method is UpdateMethod.SENSITIVITY:
         q = accuracy_sensitivity(alpha, report)
         c_prime = certainty(report)
-    elif method is UpdateMethod.AVERAGE_BETA:
+    else:  # AverageBeta
         q = accuracy_average(alpha, report)
         c_prime = certainty(observed) * certainty(report)
-    else:
-        raise ValueError(
-            f"{method.value} is a history method; use history_update for provider trust"
-        )
     return general_update(q, 1.0 - q, config.beta, c_prime, prior)
 
 

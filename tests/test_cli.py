@@ -146,6 +146,16 @@ class TestUpdateCommand:
         assert "history" in err and "--mode TrustInHistory" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--experiment", "history", "--timesteps", "4"],
+        ["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5", "--timesteps", "4"],
+    ])
+    def test_history_method_on_a_history_run_points_to_the_mode(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--method", "averagealpha")
+        assert code == 1
+        assert "AverageAlpha is a history method" in err and "--mode TrustInHistory" in err
+        assert out == ""
+
 
 class TestSimulateCommand:
     def test_deterministic_output_files(self, tmp_path, capsys):
@@ -193,6 +203,21 @@ class TestSimulateCommand:
         assert code == 1
         assert "--profile" in err
         assert out == ""
+
+    @pytest.mark.parametrize("spec", ["rumor:5,nan", "rumor:5,inf"])
+    def test_non_finite_rumor_exaggeration_is_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "simulate", "--experiment", "referrer",
+                             "--profile", spec, "--timesteps", "8")
+        assert code == 1
+        assert f"bad profile arguments in {spec!r}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("mode", ["AverageAlpha", "averagealpha", "AVERAGEALPHA"])
+    def test_average_alpha_mode_is_trust_in_history(self, capsys, mode):
+        argv = ["simulate", "--experiment", "history", "--timesteps", "12", "--seed", "3"]
+        alias = run(capsys, *argv, "--mode", mode)
+        assert alias[0] == 0
+        assert alias == run(capsys, *argv, "--mode", "TrustInHistory")
 
 
 class TestSweepCommand:
@@ -398,6 +423,26 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, flag, "0")
         assert code == 1
         assert flag in err
+        assert out == ""
+
+    @pytest.mark.parametrize("count", [str(2**63), "99999999999999999999"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["simulate", "--experiment", "history"], "--timesteps"),
+        (["simulate", "--experiment", "history"], "--tx"),
+        (["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5"], "--timesteps"),
+        (["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5"], "--tx"),
+        (["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5"], "--seeds"),
+    ])
+    def test_count_past_63_bits_is_usage_error_naming_the_flag(self, capsys, argv, flag, count):
+        code, out, err = run(capsys, *argv, flag, count)
+        assert code == 1
+        assert flag in err
+        assert out == ""
+
+    def test_largest_tx_is_a_data_error(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--experiment", "history", "--timesteps", "3",
+                           "--tx", str(2**63 - 1))
+        assert code == 2
         assert out == ""
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "x"])
@@ -679,3 +724,57 @@ def test_run_flag_table_matches_the_parser(command):
     assert set(options) - _EVERY_RUN_READS[command] == in_table
     # None tells a flag that was set from one that was not.
     assert all(options[flag] is None for flag in in_table)
+
+
+# Every numeric flag and argument, with {} where an edge value goes.
+_EDGE_COMMANDS = [
+    "certainty {} 1",
+    "certainty 1 {}",
+    "accuracy --method average --observed={},1 --report 1,1",
+    "accuracy --method max-certainty --observed 1,{} --report 1,1",
+    "accuracy --method sensitivity --observed 1,1 --report={},1",
+    "accuracy --method linear --observed 1,1 --report 1,{}",
+    "update --method AverageBeta --beta={} --observed 2,1 --report 5,5",
+    "update --method Josang --observed={},1 --report 5,5",
+    "update --method MaxCertainty --observed 2,1 --report 5,{}",
+    "update --method Sensitivity --observed 2,1 --report 5,5 --prior={},1",
+    "update --method LinearWS --observed 2,1 --report 5,5 --prior 1,{}",
+    "simulate --experiment history --timesteps={}",
+    "simulate --experiment history --timesteps 3 --tx={}",
+    "simulate --experiment history --timesteps 3 --seed={}",
+    "simulate --experiment history --timesteps 3 --mode FixedBeta --beta={}",
+    "simulate --experiment history --timesteps 3 --profile probability:{}",
+    "simulate --experiment history --timesteps 3 --profile damping:{}",
+    "simulate --experiment history --timesteps 3 --profile walk:{}",
+    "simulate --experiment history --timesteps 3 --profile momentum:{},0.5",
+    "simulate --experiment history --timesteps 3 --profile momentum:0.1,{}",
+    "simulate --experiment referrer --timesteps 3 --beta={}",
+    "simulate --experiment referrer --timesteps 3 --profile rumor:{},10",
+    "simulate --experiment referrer --timesteps 3 --profile rumor:1,{}",
+    "simulate --experiment referrer --timesteps 3 --profile corrupted:{}",
+    "simulate --experiment combine --timesteps 3 --switch={}",
+    "sweep --profiles periodic --beta-grid 0:1:0.5 --timesteps={}",
+    "sweep --profiles periodic --beta-grid 0:1:0.5 --timesteps 3 --tx={}",
+    "sweep --profiles periodic --beta-grid 0:1:0.5 --timesteps 3 --seeds={}",
+    "sweep --profiles periodic --beta-grid 0:1:0.5 --timesteps 3 --seed={}",
+    "sweep --profiles periodic --beta-grid={}:1:0.5 --timesteps 3",
+    "sweep --profiles periodic --beta-grid 0:{}:0.5 --timesteps 3",
+    "sweep --profiles periodic --beta-grid 0:1:{} --timesteps 3",
+    "sweep --experiment referrer --profiles rumor:1,{} --beta-grid 0:1:0.5 --timesteps 3",
+    "amazon --lambda-grid={}:1:0.5",
+    "amazon --lambda-grid 0:{}:0.5",
+    "amazon --lambda-grid 0:1:{}",
+]
+_EDGE_VALUES = ["nan", "inf", "-1", "0", str(2**63), str(2**64), "1e308"]
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES)
+@pytest.mark.parametrize("command", _EDGE_COMMANDS)
+def test_edge_values_keep_the_exit_code_contract(capsys, command, value):
+    """No input escapes as an exception: each exits 0, 1, 2 or 3, and a run
+    that fails writes nothing to stdout."""
+    code, out, err = run(capsys, *command.format(value).split())
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == ""

@@ -16,32 +16,8 @@ from evitrust.errors import ConvergenceError
 from evitrust.numerics import (
     _incomplete_beta,
     log_beta,
-    log_gamma,
     regularized_incomplete_beta,
 )
-
-
-class TestLogGamma:
-    def test_gamma_one_is_one(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_gamma_five_is_factorial(self):
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-12)
-
-    def test_half_integer_identity(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-12)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
-
-    def test_recurrence_small_to_large(self):
-        # ln Γ(x+1) = ln Γ(x) + ln x across the supported range
-        for x in (1e-3, 0.1, 2.5, 10.0, 1e3, 1e6):
-            assert log_gamma(x + 1.0) == pytest.approx(
-                log_gamma(x) + math.log(x), rel=1e-12, abs=1e-10
-            )
 
 
 class TestLogBeta:

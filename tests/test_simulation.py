@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,14 @@ class TestSampleTransactions:
         assert batched.bit_generator.state == scalar.bit_generator.state
         assert per_step.bit_generator.state == scalar.bit_generator.state
 
+    @pytest.mark.parametrize("n", [0, 2**63])
+    def test_count_outside_signed_64_bits_rejected(self, n):
+        # numpy's binomial takes n as a signed 64-bit integer.
+        with pytest.raises(ValueError, match="n must be"):
+            sample_transactions(0.5, n, rng())
+        with pytest.raises(ValueError, match="tx_per_step"):
+            ExperimentConfig(tx_per_step=n)
+
 
 class TestMakeReport:
     def test_truthful_and_honest_pass_through(self):
@@ -137,6 +146,11 @@ class TestMakeReport:
     def test_rumor_honest_before_switch(self):
         out = make_report(Rumor(50, 10.0), Evidence(4, 1), 10)
         assert (out.r, out.s) == (4.0, 1.0)
+
+    @pytest.mark.parametrize("exaggeration", [0.5, math.inf, math.nan])
+    def test_rumor_rejects_exaggeration_outside_one_to_inf(self, exaggeration):
+        with pytest.raises(ValueError, match="exaggeration"):
+            Rumor(5, exaggeration)
 
     def test_corrupted_inverts_after_switch(self):
         out = make_report(GoodThenCorrupted(50), Evidence(9, 1), 60)

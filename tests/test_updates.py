@@ -220,7 +220,7 @@ class TestUpdateReferrerDispatch:
 
     def test_history_method_rejected(self):
         with pytest.raises(ValueError):
-            update_referrer(self.cfg(UpdateMethod.AVERAGE_ALPHA),
+            update_referrer(self.cfg("AverageAlpha"),
                             Evidence(5, 5), Evidence(5, 5), Evidence(1, 1))
 
 
