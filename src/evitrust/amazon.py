@@ -14,7 +14,7 @@ predictors, which are the history modes of :mod:`evitrust.simulation`:
 * TrustInHistory threads the evidence stream through the self-tuning history
   update.
 
-All three run through the one fold, :func:`evitrust.simulation._fold`, with
+All three run through the one fold, :func:`evitrust.updates._fold`, with
 O(1) state, so the experiment scores each seller under each predictor in one
 O(n) pass.  Prediction errors are reported on the normalized scale (multiply
 by 4 for the 1-to-5 scale).
@@ -30,8 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Evidence, _quality
 from .errors import FeedbackFormatError
-from .simulation import BehaviorProfile, Probability, _fold, _streams, behavior_sequence
-from .updates import _FIRST_HISTORY_TRUST
+from .simulation import BehaviorProfile, Probability, _streams, behavior_sequence
+from .updates import _NO_HISTORY, _fold
 
 __all__ = [
     "FeedbackRecord",
@@ -230,7 +230,7 @@ def run_amazon_experiment(
         # The first feedback has no predecessors: each fold starts from it.
         # (Folding it in from nothing gives the same state: an empty history
         # has certainty 0, so the history trust does not move.)
-        start = _RATING_EVIDENCE[first.rating] + _FIRST_HISTORY_TRUST
+        start = _RATING_EVIDENCE[first.rating] + _NO_HISTORY[2:]
         for config in configs:
             gap = _fold(evidence, values, _keep(config), start)[0]
             mode = AmazonMode(config.mode)

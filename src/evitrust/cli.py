@@ -103,15 +103,24 @@ def _parse_evidence(text: str) -> Tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected two numbers 'r,s', got {text!r}")
 
 
-def _parse_count(text: str) -> int:
-    """Parse a count in [1, 2**63 - 1]; numpy's binomial takes no larger one."""
+def _parse_count(text: str, most: int = 2**63 - 1) -> int:
+    """Parse a count in [1, most]; numpy's binomial takes none above 2**63 - 1."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 1 <= n <= 2**63 - 1:
-        raise argparse.ArgumentTypeError(f"must be in [1, 2**63 - 1], got {n}")
+    if not 1 <= n <= most:
+        raise argparse.ArgumentTypeError(f"must be in [1, {most}], got {n}")
     return n
+
+
+# A run holds about 1.1–1.8 KB per step (peak RSS is 255 MB for a 2×10⁵-step
+# history run and 210 MB for a 10⁵-step combine run), so 10⁶ take up to 1.8 GB.
+_MAX_TIMESTEPS = 10**6
+
+
+def _parse_timesteps(text: str) -> int:
+    return _parse_count(text, _MAX_TIMESTEPS)
 
 
 def _parse_seed(text: str) -> int:
@@ -285,7 +294,7 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
         p.add_argument("--beta", type=_parse_rate,
                        help="forgetting rate (referrer, combine and FixedBeta history; "
                        "default 0.2)")
-        p.add_argument("--timesteps", type=_parse_count, default=100)
+        p.add_argument("--timesteps", type=_parse_timesteps, default=100)
         p.add_argument("--tx", type=_parse_count, default=50,
                        help="transactions per step (default 50)")
         p.add_argument("--switch", type=int, help="corruption step (combine; default 50)")
@@ -301,7 +310,7 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
                        help="Amazon | FixedBeta | TrustInHistory (history; default FixedBeta)")
         p.add_argument("--seeds", type=_parse_count, default=5,
                        help="seeds averaged per grid point (default 5)")
-        p.add_argument("--timesteps", type=_parse_count, default=100)
+        p.add_argument("--timesteps", type=_parse_timesteps, default=100)
         p.add_argument("--tx", type=_parse_count, default=50)
 
     if p := add("amazon", "feedback-prediction error table", "--format"):
@@ -422,29 +431,29 @@ def _cmd_sweep(args) -> int:
     if args.seed + args.seeds - 1 > 2**64 - 1:
         raise _UsageError(f"--seed {args.seed} with --seeds {args.seeds} runs up to seed "
                           f"{args.seed + args.seeds - 1}, past 2**64 - 1")
-    seeds = [args.seed + k for k in range(args.seeds)]
     _read_run_flags(args)
     if args.experiment == "history":
         _require_behavior_profiles(*args.profiles)
     header = ["profile", "method", "beta", "error"]
+    label = args.mode.value if args.experiment == "history" else args.method.value
     rows = []
     for profile in args.profiles:
-        pname = type(profile).__name__
-        if args.experiment == "history":
-            # One draw per seed; each seed scores the whole grid.
-            per_seed = [history_errors(_experiment_config(args, seed=seed), profile,
-                                       args.mode, args.beta_grid) for seed in seeds]
-            per_beta = zip(*per_seed)
-            label = args.mode.value
-        else:
-            per_beta = [
-                [prediction_error(run_referrer_experiment(
-                    _experiment_config(args, seed=seed, beta=beta), profile)) for seed in seeds]
-                for beta in args.beta_grid
-            ]
-            label = args.method.value
-        for beta, errs in zip(args.beta_grid, per_beta):
-            rows.append([pname, label, beta, sum(errs) / len(errs)])
+        # Each β's errors summed over the seeds as they run, left to right, so
+        # that the mean is the same float on any Python (3.12 made ``sum`` of
+        # floats compensated).
+        totals = [0.0] * len(args.beta_grid)
+        for seed in range(args.seed, args.seed + args.seeds):
+            if args.experiment == "history":
+                # One draw per seed scores the whole grid.
+                errors = history_errors(_experiment_config(args, seed=seed), profile,
+                                        args.mode, args.beta_grid)
+            else:
+                errors = [prediction_error(run_referrer_experiment(
+                    _experiment_config(args, seed=seed, beta=beta), profile))
+                    for beta in args.beta_grid]
+            totals = [total + error for total, error in zip(totals, errors)]
+        rows += ([type(profile).__name__, label, beta, total / args.seeds]
+                 for beta, total in zip(args.beta_grid, totals))
     _emit(_table(header, rows, args.format), args.out)
     return EXIT_OK
 

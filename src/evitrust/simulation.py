@@ -14,7 +14,8 @@ observes, and updates every referrer's trust.
 The draws of a history run depend on the seed, the profile, ``timesteps``
 and ``tx_per_step``, never on β or the mode.  :func:`history_errors` uses
 that (common random numbers): it draws once and folds a whole β grid over
-the same observations, building no records.
+the same observations, building no records.  Every history run goes through
+the history method's fold, ``_fold`` in :mod:`evitrust.updates`.
 
 Determinism contract: every random draw comes from numpy PCG64 generators
 derived from the experiment seed with a fixed spawn layout (one independent
@@ -58,13 +59,7 @@ import numpy.random
 
 from .core import Evidence, _belief, _quality, certainty, expected_quality
 from .propagation import _combine
-from .updates import (
-    _FIRST_HISTORY_TRUST,
-    UpdateConfig,
-    UpdateMethod,
-    _history_step,
-    update_referrer,
-)
+from .updates import _NO_HISTORY, UpdateMethod, _fold, _update
 
 __all__ = [
     "Probability",
@@ -334,6 +329,7 @@ class ExperimentConfig:
     beta: float = 0.2
 
     def __post_init__(self):
+        object.__setattr__(self, "method", UpdateMethod(self.method))
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         if not 1 <= self.tx_per_step <= _MAX_TRANSACTIONS:
@@ -416,7 +412,7 @@ def records_to_json(records: Sequence[TimestepRecord]) -> str:
 
 def prediction_error(series: Sequence[TimestepRecord]) -> float:
     """Mean absolute gap between predicted and observed quality over a run,
-    summed left to right as in :func:`_fold`."""
+    summed left to right as in :func:`~evitrust.updates._fold`."""
     if not series:
         raise ValueError("prediction_error requires a non-empty series")
     total = 0.0
@@ -446,7 +442,7 @@ def _track_referrers(
     config: ExperimentConfig,
     reports: Sequence[Sequence[Evidence]],
     rng_client: np.random.Generator,
-) -> Tuple[List[TimestepRecord], List[Tuple[Evidence, ...]]]:
+) -> Tuple[List[TimestepRecord], List[Tuple[Tuple[float, float], ...]]]:
     """The referrer loop behind both referrer experiments.
 
     ``reports[t-1]`` holds each referrer's report at step t.  Per step the
@@ -454,27 +450,25 @@ def _track_referrers(
     trust in the referrer (prior ⟨1, 1⟩), observes ``tx_per_step``
     transactions, and updates every referrer trust with ``config.method``.
     The records carry the last referrer's trust in ``trust_state``; each
-    step's trusts are returned alongside.
+    step's trusts are returned alongside, as (r, s) pairs.
     """
-    ucfg = UpdateConfig(method=config.method, beta=config.beta)
     # The prior ⟨1, 1⟩ encodes willingness to consider a stranger's referrals.
-    trusts = (Evidence(1.0, 1.0),) * len(reports[0])
+    trusts = ((1.0, 1.0),) * len(reports[0])
     draws = _transactions([_PROVIDER_QUALITY] * len(reports), config.tx_per_step, rng_client)
     records: List[TimestepRecord] = []
-    history: List[Tuple[Evidence, ...]] = []
-    for t, (step, draw) in enumerate(zip(reports, draws), 1):
+    history: List[Tuple[Tuple[float, float], ...]] = []
+    for t, (step, (k, m)) in enumerate(zip(reports, draws), 1):
         # Each report discounted by the belief mass b_R of the trust in its referrer.
         predicted = Evidence(*_combine(
-            (_belief(trust.r, trust.s)[0], report.r, report.s)
-            for trust, report in zip(trusts, step)
+            (_belief(*trust)[0], report.r, report.s) for trust, report in zip(trusts, step)
         ))
-        observed = Evidence(*draw)
         trusts = tuple(
-            update_referrer(ucfg, observed, report, trust) for trust, report in zip(trusts, step)
+            _update(config.method, config.beta, k, m, report.r, report.s, *trust)
+            for trust, report in zip(trusts, step)
         )
         history.append(trusts)
-        records.append(TimestepRecord(t, predicted, observed, expected_quality(predicted),
-                                      expected_quality(observed), trusts[-1]))
+        records.append(TimestepRecord(t, predicted, Evidence(k, m), expected_quality(predicted),
+                                      _quality(k, m), Evidence(*trusts[-1])))
     return records, history
 
 
@@ -551,7 +545,7 @@ def run_combination_experiment(
         for t, (good, bad) in enumerate(zip(goods, bads), 1)
     ]
     records, trusts = _track_referrers(config, reports, rng_client)
-    good_trust, bad_trust = (list(column) for column in zip(*trusts))
+    good_trust, bad_trust = ([Evidence(*trust) for trust in column] for column in zip(*trusts))
     return CombinationResult(records, good_trust, bad_trust, switch_step)
 
 
@@ -574,49 +568,6 @@ def _keep(mode: HistoryMode, beta: float) -> Optional[float]:
     if mode is HistoryMode.TRUST_IN_HISTORY:
         return None
     return 1.0 if mode is HistoryMode.AMAZON else 1.0 - beta
-
-
-# A history state: the carried evidence and the history trust (r, s, trust_r,
-# trust_s), as :class:`~evitrust.updates.HistoryState` holds them.
-_NO_HISTORY = (0.0, 0.0) + _FIRST_HISTORY_TRUST
-
-
-def _fold(
-    observed: Iterable[Tuple[float, float]],
-    alphas: Iterable[float],
-    keep: Optional[float],
-    state: Tuple[float, float, float, float] = _NO_HISTORY,
-) -> Tuple[float, Tuple[float, float, float, float]]:
-    """The one history predictor, folded over ``observed`` from ``state``.
-
-    The prediction for each observation (k, n−k) is the expected quality of
-    the evidence carried before it, and its gap is |prediction − α| with α
-    that observation's expected quality from ``alphas``.  The observation
-    then updates the carried evidence.  With a retention ``keep`` it is
-    discounted, r ← r·keep + k, s ← s·keep + (n−k): Amazon keeps everything
-    (keep = 1.0; x·1.0 = x, so this is the plain running sum) and FixedBeta
-    keeps 1 − β.  With ``keep`` None (TrustInHistory), the float step of
-    :func:`~evitrust.updates.history_update` sets the retention from the
-    consistency of the observation with the history, and moves the history
-    trust, which the discount leaves alone.
-
-    Returns the gaps, summed left to right so that the same gaps give the
-    same float on any Python (3.12 made ``sum`` of floats compensated), and
-    the state after the last observation.
-    """
-    gap = 0.0
-    r, s, trust_r, trust_s = state
-    if keep is None:
-        for (k, m), alpha in zip(observed, alphas):
-            gap += abs(_quality(r, s) - alpha)
-            r, s, trust_r, trust_s = _history_step(r, s, trust_r, trust_s, k, m)
-        return gap, (r, s, trust_r, trust_s)
-    for (k, m), alpha in zip(observed, alphas):
-        total = r + s
-        gap += abs((0.5 if total == 0 else r / total) - alpha)
-        r = r * keep + k
-        s = s * keep + m
-    return gap, (r, s, trust_r, trust_s)
 
 
 def run_history_experiment(

@@ -29,9 +29,10 @@ The AverageBeta accuracy has the closed form
 
 which equals 1 − sqrt(∫ f_rep(x)(x−α)² dx).
 
-:func:`history_update` applies the same machinery to a "ghost" referrer whose
-report is the client's own discounted history of a provider, yielding a
-self-tuning history discount instead of a hand-picked β.
+:func:`_update` is this table's code, for referrers and for the history
+method (:func:`history_update`, folded by :func:`_fold`): the AverageBeta
+update with β = 0 of a "ghost" referrer whose report is the client's own
+discounted history of a provider, a self-tuning discount instead of a β.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
-from .core import Evidence, _certainty, _quality, certainty, expected_quality
+from .core import Evidence, _certainty, _quality
 
 __all__ = [
     "UpdateMethod",
@@ -82,12 +83,14 @@ class UpdateConfig:
     beta: float = 0.2
 
     def __post_init__(self):
+        object.__setattr__(self, "method", UpdateMethod(self.method))
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 
 
-# The history trust that a provider's history starts with (see HistoryState).
-_FIRST_HISTORY_TRUST = (0.9, 0.1)
+# The state a provider's history starts from, (r, s, trust_r, trust_s) as
+# HistoryState holds it: no carried evidence, history trust ⟨0.9, 0.1⟩.
+_NO_HISTORY = (0.0, 0.0, 0.9, 0.1)
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class HistoryState:
     """
 
     carried: Evidence = field(default_factory=lambda: Evidence(0.0, 0.0))
-    history_trust: Evidence = field(default_factory=lambda: Evidence(*_FIRST_HISTORY_TRUST))
+    history_trust: Evidence = field(default_factory=lambda: Evidence(*_NO_HISTORY[2:]))
 
     def __post_init__(self):
         if self.history_trust.total <= 0:
@@ -140,18 +143,6 @@ def accuracy_linear(alpha: float, alpha_prime: float) -> float:
     return 1.0 - abs(alpha - alpha_prime)
 
 
-def _log_density_ratio(r: float, s: float, x_num: float, x_den: float) -> float:
-    """log of [x_num^r (1−x_num)^s] / [x_den^r (1−x_den)^s] with 0·log 0 := 0."""
-    acc = 0.0
-    if r > 0.0:
-        acc += r * (math.log(x_num) if x_num > 0.0 else -math.inf)
-        acc -= r * (math.log(x_den) if x_den > 0.0 else -math.inf)
-    if s > 0.0:
-        acc += s * (math.log1p(-x_num) if x_num < 1.0 else -math.inf)
-        acc -= s * (math.log1p(-x_den) if x_den < 1.0 else -math.inf)
-    return acc
-
-
 def accuracy_max_certainty(observed: Evidence, alpha_prime: float) -> float:
     """q = f(α′)/f(α) for the observed evidence density (peak-normalized).
 
@@ -162,10 +153,7 @@ def accuracy_max_certainty(observed: Evidence, alpha_prime: float) -> float:
     _check_unit("alpha_prime", alpha_prime)
     if observed.total <= 0:
         raise ValueError("accuracy_max_certainty requires observed evidence with positive total")
-    alpha = expected_quality(observed)
-    log_q = _log_density_ratio(observed.r, observed.s, alpha_prime, alpha)
-    # The density peaks at alpha, so log_q <= 0 up to rounding noise.
-    return math.exp(min(log_q, 0.0))
+    return _peak_ratio(observed.r, observed.s, alpha_prime)
 
 
 def accuracy_sensitivity(alpha: float, report: Evidence) -> float:
@@ -177,8 +165,21 @@ def accuracy_sensitivity(alpha: float, report: Evidence) -> float:
     _check_unit("alpha", alpha)
     if report.total <= 0:
         raise ValueError("accuracy_sensitivity requires a report with positive total")
-    alpha_prime = expected_quality(report)
-    log_q = _log_density_ratio(report.r, report.s, alpha, alpha_prime)
+    return _peak_ratio(report.r, report.s, alpha)
+
+
+def _peak_ratio(r: float, s: float, x: float) -> float:
+    """f(x)/f(α) for the density f of ⟨r, s⟩, which peaks at α = r/(r+s),
+    with 0·log 0 := 0."""
+    peak = _quality(r, s)
+    log_q = 0.0
+    if r > 0.0:
+        log_q += r * (math.log(x) if x > 0.0 else -math.inf)
+        log_q -= r * (math.log(peak) if peak > 0.0 else -math.inf)
+    if s > 0.0:
+        log_q += s * (math.log1p(-x) if x < 1.0 else -math.inf)
+        log_q -= s * (math.log1p(-peak) if peak < 1.0 else -math.inf)
+    # The density peaks at α, so log_q <= 0 up to rounding noise.
     return math.exp(min(log_q, 0.0))
 
 
@@ -211,37 +212,44 @@ def update_referrer(
     """One trust update of a report's source from an observation.
 
     Dispatches on ``config.method`` to pick the accuracy q and weight c′ (see
-    the module docstring table), then applies :func:`general_update` with
+    the module docstring table), then applies the generic update with
     ``config.beta``.  The observation must carry evidence (total > 0); the
     Josang, MaxCertainty, and Sensitivity methods additionally require a
     non-empty report.
     """
     if observed.total <= 0:
         raise ValueError("update_referrer requires an observation with positive total")
-    method = UpdateMethod(config.method)
-    if method in (UpdateMethod.JOSANG, UpdateMethod.MAX_CERTAINTY, UpdateMethod.SENSITIVITY):
-        if report.total <= 0:
-            raise ValueError(f"{method.value} requires a report with positive total")
+    method = config.method
+    if report.total <= 0 and method in (UpdateMethod.JOSANG, UpdateMethod.MAX_CERTAINTY,
+                                        UpdateMethod.SENSITIVITY):
+        raise ValueError(f"{method.value} requires a report with positive total")
+    return Evidence(*_update(method, config.beta, observed.r, observed.s, report.r, report.s,
+                             prior.r, prior.s))
 
-    alpha = expected_quality(observed)
-    if method is UpdateMethod.LINEAR_WS:
-        q = accuracy_linear(alpha, expected_quality(report))
-        c_prime = certainty(report)
+
+def _update(
+    method: UpdateMethod, beta: float, r: float, s: float, rp: float, sp: float,
+    prior_r: float, prior_s: float,
+) -> Tuple[float, float]:
+    """The one trust update, on plain floats: the trust ⟨prior_r, prior_s⟩ in
+    a source that reported ⟨rp, sp⟩ when ⟨r, s⟩ was observed, moved by
+    c′·q + (1−β)·prior_r and c′·(1−q) + (1−β)·prior_s, with q and c′ as the
+    module docstring's table gives them for ``method``.  It checks nothing:
+    :func:`update_referrer` is its checked form."""
+    alpha = _quality(r, s)
+    if method is UpdateMethod.AVERAGE_BETA:
+        q, c_prime = _average_accuracy(alpha, rp, sp), _certainty(r, s) * _certainty(rp, sp)
+    elif method is UpdateMethod.LINEAR_WS:
+        q, c_prime = 1.0 - abs(alpha - _quality(rp, sp)), _certainty(rp, sp)
     elif method is UpdateMethod.JOSANG:
-        alpha_shift = (observed.r + 1.0) / (observed.total + 2.0)
-        alpha_prime_shift = (report.r + 1.0) / (report.total + 2.0)
-        q = accuracy_linear(alpha_shift, alpha_prime_shift)
-        c_prime = report.total / (report.total + 2.0)
+        q = 1.0 - abs((r + 1.0) / (r + s + 2.0) - (rp + 1.0) / (rp + sp + 2.0))
+        c_prime = (rp + sp) / (rp + sp + 2.0)
     elif method is UpdateMethod.MAX_CERTAINTY:
-        q = accuracy_max_certainty(observed, expected_quality(report))
-        c_prime = certainty(report)
-    elif method is UpdateMethod.SENSITIVITY:
-        q = accuracy_sensitivity(alpha, report)
-        c_prime = certainty(report)
-    else:  # AverageBeta
-        q = accuracy_average(alpha, report)
-        c_prime = certainty(observed) * certainty(report)
-    return general_update(q, 1.0 - q, config.beta, c_prime, prior)
+        q, c_prime = _peak_ratio(r, s, _quality(rp, sp)), _certainty(rp, sp)
+    else:  # Sensitivity
+        q, c_prime = _peak_ratio(rp, sp, alpha), _certainty(rp, sp)
+    retain = 1.0 - beta
+    return c_prime * q + retain * prior_r, c_prime * (1.0 - q) + retain * prior_s
 
 
 def history_update(state: HistoryState, observed: Evidence) -> HistoryUpdate:
@@ -257,27 +265,56 @@ def history_update(state: HistoryState, observed: Evidence) -> HistoryUpdate:
         discount  = expected_quality(history_trust)
         combined  = observed + discount · carried
 
-    With no observation (total 0) the state is returned unchanged: an empty
+    The trust step is the AverageBeta update with β = 0.  With no
+    observation (total 0) the state is returned unchanged: an empty
     observation has certainty 0 and cannot move anything.
     """
     carried, trust = state.carried, state.history_trust
-    r, s, trust_r, trust_s = _history_step(carried.r, carried.s, trust.r, trust.s,
-                                           observed.r, observed.s)
+    # The fold's prediction gap is not needed here, so its α is a placeholder.
+    r, s, trust_r, trust_s = _fold(((observed.r, observed.s),), (0.0,), None,
+                                   (carried.r, carried.s, trust.r, trust.s))[1]
     combined, trust = Evidence(r, s), Evidence(trust_r, trust_s)
-    return HistoryUpdate(combined, HistoryState(combined, trust), expected_quality(trust))
+    return HistoryUpdate(combined, HistoryState(combined, trust), _quality(trust_r, trust_s))
 
 
-def _history_step(
-    r: float, s: float, trust_r: float, trust_s: float, obs_r: float, obs_s: float
-) -> Tuple[float, float, float, float]:
-    """:func:`history_update` on plain floats: the carried evidence ⟨r, s⟩
-    and the history trust after observing ⟨obs_r, obs_s⟩, which leaves both
-    alone when it is empty."""
-    if obs_r + obs_s <= 0:
-        return r, s, trust_r, trust_s
-    weight = _certainty(obs_r, obs_s) * _certainty(r, s)
-    q = _average_accuracy(_quality(obs_r, obs_s), r, s)
-    trust_r += weight * q
-    trust_s += weight * (1.0 - q)
-    discount = _quality(trust_r, trust_s)
-    return obs_r + discount * r, obs_s + discount * s, trust_r, trust_s
+def _fold(
+    observed: Iterable[Tuple[float, float]],
+    alphas: Iterable[float],
+    keep: Optional[float],
+    state: Tuple[float, float, float, float] = _NO_HISTORY,
+) -> Tuple[float, Tuple[float, float, float, float]]:
+    """The one history predictor, folded over ``observed`` from ``state``.
+
+    The prediction for each observation (k, n−k) is the expected quality of
+    the evidence carried before it, and its gap is |prediction − α| with α
+    that observation's expected quality from ``alphas``.  The observation
+    then updates the carried evidence.  With a retention ``keep`` it is
+    discounted, r ← r·keep + k, s ← s·keep + (n−k): Amazon keeps everything
+    (keep = 1.0; x·1.0 = x, so this is the plain running sum) and FixedBeta
+    keeps 1 − β.  With ``keep`` None (TrustInHistory), the history method:
+    the carried evidence reports to the history trust as a ghost referrer,
+    which :func:`_update` moves by AverageBeta with β = 0, and the expected
+    quality of the new trust is the retention.  An empty observation moves
+    neither.
+
+    Returns the gaps, summed left to right so that the same gaps give the
+    same float on any Python (3.12 made ``sum`` of floats compensated), and
+    the state after the last observation.
+    """
+    gap = 0.0
+    r, s, trust_r, trust_s = state
+    if keep is None:
+        for (k, m), alpha in zip(observed, alphas):
+            gap += abs(_quality(r, s) - alpha)
+            if k + m > 0:
+                trust_r, trust_s = _update(UpdateMethod.AVERAGE_BETA, 0.0, k, m, r, s,
+                                           trust_r, trust_s)
+                discount = _quality(trust_r, trust_s)
+                r, s = k + discount * r, m + discount * s
+        return gap, (r, s, trust_r, trust_s)
+    for (k, m), alpha in zip(observed, alphas):
+        total = r + s
+        gap += abs((0.5 if total == 0 else r / total) - alpha)
+        r = r * keep + k
+        s = s * keep + m
+    return gap, (r, s, trust_r, trust_s)

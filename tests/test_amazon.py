@@ -265,3 +265,25 @@ class TestSynthesizeFeedback:
         assert len(recs) == 21
         assert len({r.seller_id for r in recs}) == 3
         assert all(1 <= r.rating <= 5 for r in recs)
+
+
+_HEADER = "seller_id,t,rating\n"
+
+
+@pytest.mark.parametrize("check,error,match", [
+    (lambda: FeedbackRecord("s1", 1, 6), ValueError, "rating must be an integer in 1..5"),
+    (lambda: AmazonConfig(lambda_=1.5), ValueError, "lambda_ must be in"),
+    (lambda: parse_feedback_csv(""), FeedbackFormatError, "empty file"),
+    (lambda: parse_feedback_csv(_HEADER + "s1,1\n"), FeedbackFormatError, "expected 3 fields"),
+    (lambda: parse_feedback_csv(_HEADER + " ,1,3\n"), FeedbackFormatError, "empty seller_id"),
+    (lambda: parse_feedback_csv(_HEADER + "s1,1,x\n"), FeedbackFormatError,
+     "rating must be an integer"),
+])
+def test_input_checks_raise(check, error, match):
+    with pytest.raises(error, match=match):
+        check()
+
+
+def test_blank_lines_are_skipped():
+    text = _HEADER + "\ns1,1,3\n  \ns1,2,5\n"
+    assert parse_feedback_csv(text) == [FeedbackRecord("s1", 1, 3), FeedbackRecord("s1", 2, 5)]

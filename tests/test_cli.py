@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 from dataclasses import fields
 from typing import get_args
 
@@ -778,3 +779,79 @@ def test_edge_values_keep_the_exit_code_contract(capsys, command, value):
     assert "Traceback" not in err
     if code != 0:
         assert out == ""
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["update", "--method", "Josang", "--observed", "a,b", "--report", "1,1"], "--observed"),
+    (["update", "--method", "Josang", "--beta", "x", "--observed", "1,1", "--report", "1,1"],
+     "--beta"),
+    (["amazon", "--lambda-grid", "0:1"], "--lambda-grid"),
+    (["simulate", "--experiment", "referrer", "--method", "Bogus"], "--method"),
+    (["simulate", "--experiment", "history", "--mode", "Bogus"], "--mode"),
+])
+def test_input_checks_are_usage_errors(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert flag in err
+    assert out == ""
+
+
+class TestBoundedRuns:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--experiment", "history"],
+        ["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5"],
+    ])
+    def test_timesteps_past_a_million_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--timesteps", str(10**6 + 1))
+        assert code == 1
+        assert "--timesteps" in err and "1000000" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--experiment", "history"],
+        ["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5"],
+    ])
+    def test_a_million_timesteps_parses(self, argv):
+        args = _build_parser(argv[0]).parse_args([*argv, "--timesteps", str(10**6)])
+        assert args.timesteps == 10**6
+
+    @pytest.mark.parametrize("experiment,profile,runner", [
+        ("history", "periodic", "history_errors"),
+        ("referrer", "truthful", "run_referrer_experiment"),
+    ])
+    def test_sweep_streams_its_seeds(self, monkeypatch, experiment, profile, runner):
+        """A trillion seeds start running at once: the seed list is never built."""
+        import evitrust.cli as cli_mod
+
+        class Stop(Exception):
+            pass
+
+        calls = []
+
+        def stub(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise Stop
+            return [0.5]
+
+        monkeypatch.setattr(cli_mod, runner, stub)
+        monkeypatch.setattr(cli_mod, "prediction_error", lambda errors: errors[0])
+        with pytest.raises(Stop):
+            cli_main(["sweep", "--experiment", experiment, "--profiles", profile,
+                      "--beta-grid", "0.5:0.5:1", "--seeds", str(10**12)])
+        assert len(calls) == 3
+
+    def test_sweep_mean_sums_the_seeds_left_to_right(self, capsys, monkeypatch):
+        import evitrust.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "history_errors", lambda cfg, profile, mode, betas:
+                            [0.1] * len(betas))
+        code, out, _ = run(capsys, "sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5",
+                           "--seeds", "10")
+        assert code == 0
+        total = 0.0
+        for _ in range(10):
+            total += 0.1
+        # A compensated sum (Python 3.12's ``sum``) gives another mean.
+        assert total / 10 != math.fsum([0.1] * 10) / 10
+        assert [float(row.split(",")[3]) for row in out.split("\n")[1:-1]] == [total / 10] * 3

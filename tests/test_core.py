@@ -335,3 +335,10 @@ class TestBeliefConversion:
     def test_dogmatic_belief_error_names_belief_and_alpha(self):
         with pytest.raises(ConvergenceError, match=r"b=0\.5, d=0\.5, u=0\.0.*alpha=0\.5"):
             from_belief(Belief(0.5, 0.5, 0.0))
+
+
+@pytest.mark.parametrize("components", [(math.nan, 0.0, 1.0), (0.0, math.inf, 1.0),
+                                        (0.0, 0.0, -math.inf)])
+def test_belief_rejects_non_finite_component(components):
+    with pytest.raises(ValueError, match="must be finite"):
+        Belief(*components)

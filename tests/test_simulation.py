@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from evitrust import simulation
 from evitrust.core import Evidence, certainty, expected_quality
 from evitrust.simulation import (
     CSV_HEADER,
@@ -34,6 +35,7 @@ from evitrust.simulation import (
     sample_transactions,
 )
 from evitrust.simulation import _transactions
+from evitrust.updates import UpdateConfig, UpdateMethod, update_referrer
 
 
 def rng(seed=0):
@@ -378,3 +380,62 @@ class TestCertaintyPred:
                                      HistoryMode.AMAZON)[0]
         with pytest.raises(AttributeError):
             rec.certainty_pred = 0.5
+
+
+def _spy_reports(monkeypatch):
+    """Record the reports each referrer experiment hands its loop."""
+    seen = []
+    track = simulation._track_referrers
+
+    def spy(config, reports, rng_client):
+        seen.append(reports)
+        return track(config, reports, rng_client)
+
+    monkeypatch.setattr(simulation, "_track_referrers", spy)
+    return seen
+
+
+def _replay(config, observed, reports):
+    """Each referrer's trust after each step, through update_referrer (and
+    its checks) from the prior ⟨1, 1⟩."""
+    ucfg = UpdateConfig(config.method, config.beta)
+    trusts = [Evidence(1.0, 1.0)] * len(reports[0])
+    steps = []
+    for obs, step in zip(observed, reports):
+        trusts = [update_referrer(ucfg, obs, report, trust) for trust, report in zip(trusts, step)]
+        steps.append(trusts)
+    return steps
+
+
+class TestReferrerLoopIsUpdateReferrer:
+    @pytest.mark.parametrize("profile", [Truthful(), Rumor(10, 5.0), GoodThenCorrupted(15),
+                                         RandomWalk(0.2)])
+    @pytest.mark.parametrize("method", list(UpdateMethod))
+    def test_referrer_experiment(self, monkeypatch, method, profile):
+        seen = _spy_reports(monkeypatch)
+        cfg = ExperimentConfig(timesteps=30, seed=4, method=method)
+        records = run_referrer_experiment(cfg, profile)
+        steps = _replay(cfg, [rec.observed for rec in records], seen[0])
+        assert [rec.trust_state for rec in records] == [trusts[0] for trusts in steps]
+
+    @pytest.mark.parametrize("method", list(UpdateMethod))
+    def test_combination_experiment(self, monkeypatch, method):
+        seen = _spy_reports(monkeypatch)
+        cfg = ExperimentConfig(timesteps=30, seed=4, method=method, beta=0.1)
+        res = run_combination_experiment(cfg, switch_step=15)
+        steps = _replay(cfg, [rec.observed for rec in res.records], seen[0])
+        assert [[good, bad] for good, bad in zip(res.good_trust, res.corrupted_trust)] == steps
+
+
+@pytest.mark.parametrize("check,error,match", [
+    (lambda: behavior_value(Periodic(), -1), ValueError, "t must be >= 0"),
+    (lambda: behavior_value(object(), 1), TypeError, "unknown behavior profile"),
+    (lambda: sample_transactions(1.5, 5, rng()), ValueError, "x must be in"),
+    (lambda: make_report(object(), Evidence(1, 1), 1), TypeError, "unknown referrer profile"),
+    (lambda: ExperimentConfig(timesteps=0), ValueError, "timesteps must be"),
+    (lambda: ExperimentConfig(beta=1.5), ValueError, "beta must be in"),
+    (lambda: ExperimentConfig(seed=-1), ValueError, "seed must fit"),
+])
+def test_input_checks_raise(check, error, match):
+    with pytest.raises(error, match=match):
+        check()

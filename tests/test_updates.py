@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Tolerance, accuracy_average_integral
 from evitrust.core import Evidence, certainty, expected_quality
+from evitrust.simulation import ExperimentConfig
 from evitrust.updates import (
     HistoryState,
     HistoryUpdate,
@@ -345,3 +346,52 @@ class TestAccuracyMeasureProperties:
     def test_convergence_of_average_to_linear(self):
         q = accuracy_average(0.6, Evidence(50000, 50000))
         assert abs(q - 0.9) < 1e-3
+
+
+class TestOneUpdateStep:
+    """The history method is the AverageBeta update, with β = 0, of a ghost
+    referrer whose report is the carried history; both run one step."""
+
+    @pytest.mark.parametrize("carried,trust,observed", [
+        ((0, 0), (0.9, 0.1), (45, 5)),
+        ((0, 0), (0.9, 0.1), (0, 7)),
+        ((40, 10), (2, 1), (25, 25)),
+        ((40, 10), (9, 1), (10, 0)),
+        ((3.5, 0), (1, 1), (0, 12)),
+        ((45, 5), (0.9, 0.1), (5, 45)),
+        ((123.25, 7.75), (3.5, 0.25), (2.5, 7.5)),
+    ])
+    def test_history_trust_is_the_ghost_referrers_average_beta_update(
+        self, carried, trust, observed
+    ):
+        state = HistoryState(Evidence(*carried), Evidence(*trust))
+        ghost = update_referrer(UpdateConfig(UpdateMethod.AVERAGE_BETA, beta=0.0),
+                                Evidence(*observed), report=state.carried,
+                                prior=state.history_trust)
+        upd = history_update(state, Evidence(*observed))
+        assert upd.state.history_trust == ghost
+        assert upd.discount == expected_quality(ghost)
+        assert upd.combined == Evidence(*observed) + state.carried.scaled(upd.discount)
+
+
+class TestConfigMethod:
+    @pytest.mark.parametrize("make", [UpdateConfig, ExperimentConfig])
+    def test_method_name_becomes_the_member(self, make):
+        assert make(method="Josang").method is UpdateMethod.JOSANG
+
+    @pytest.mark.parametrize("make", [UpdateConfig, ExperimentConfig])
+    def test_unknown_method_fails_at_construction(self, make):
+        with pytest.raises(ValueError, match="Bogus"):
+            make(method="Bogus")
+
+
+@pytest.mark.parametrize("check,match", [
+    (lambda: UpdateConfig(beta=1.5), "beta must be in"),
+    (lambda: HistoryState(history_trust=Evidence(0, 0)), "positive total"),
+    (lambda: general_update(1.5, -0.5, 0.2, 0.5, Evidence(1, 1)), "q must be in"),
+    (lambda: general_update(0.5, 0.5, 0.2, 1.5, Evidence(1, 1)), "c_prime must be in"),
+    (lambda: accuracy_linear(1.5, 0.5), "alpha must be in"),
+])
+def test_input_checks_raise(check, match):
+    with pytest.raises(ValueError, match=match):
+        check()
