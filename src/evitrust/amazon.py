@@ -249,14 +249,16 @@ def synthesize_feedback(
 
     Each seller's per-step quality follows a behavior profile (default
     Probability(0.9)); the rating is 1 + Binomial(4, X_t), so mostly-good
-    sellers earn mostly 4s and 5s with occasional slumps.
+    sellers earn mostly 4s and 5s with occasional slumps.  A seller's
+    ratings come from one ``binomial`` call after its X_t, which draws as
+    one call per feedback would.
     """
     if profile is None:
         profile = Probability(0.9)
     records: List[FeedbackRecord] = []
     for idx, rng in enumerate(_streams(seed, sellers)):
         xs = behavior_sequence(profile, rng, feedbacks_per_seller)
-        for t, x in enumerate(xs, start=1):
-            rating = 1 + int(rng.binomial(4, x))
-            records.append(FeedbackRecord(f"seller{idx + 1:02d}", t, rating))
+        seller = f"seller{idx + 1:02d}"
+        records += (FeedbackRecord(seller, t, 1 + k)
+                    for t, k in enumerate(rng.binomial(4, xs).tolist(), start=1))
     return records

@@ -32,7 +32,7 @@ from .amazon import (
     parse_feedback_csv,
     run_amazon_experiment,
 )
-from .core import Evidence, certainty, expected_quality
+from .core import Evidence, _quality, certainty, expected_quality
 from .errors import ConvergenceError, FeedbackFormatError
 from .simulation import (
     _PROFILES,
@@ -53,10 +53,9 @@ from .simulation import (
 from .updates import (
     UpdateConfig,
     UpdateMethod,
+    _peak_ratio,
     accuracy_average,
     accuracy_linear,
-    accuracy_max_certainty,
-    accuracy_sensitivity,
     update_referrer,
 )
 
@@ -82,11 +81,23 @@ class _Parser(argparse.ArgumentParser):
 
 _UPDATE_METHODS = {m.value.lower(): m for m in UpdateMethod}
 _HISTORY_MODES = {m.value.lower(): m for m in HistoryMode}
+
+
+def _peak_ratio_at(density: Evidence, point: Evidence, empty: str) -> float:
+    """The peak ratio of ``density`` at the quality of ``point``, whose
+    complement comes from the counts, as in the update methods."""
+    if density.total <= 0:
+        raise ValueError(empty)
+    return _peak_ratio(density.r, density.s, _quality(point.r, point.s), _quality(point.s, point.r))
+
+
 # Each accuracy measure as q(observed, report).
 _ACCURACY_MEASURES = {
     "linear": lambda obs, rep: accuracy_linear(expected_quality(obs), expected_quality(rep)),
-    "maxcertainty": lambda obs, rep: accuracy_max_certainty(obs, expected_quality(rep)),
-    "sensitivity": lambda obs, rep: accuracy_sensitivity(expected_quality(obs), rep),
+    "maxcertainty": lambda obs, rep: _peak_ratio_at(
+        obs, rep, "accuracy_max_certainty requires observed evidence with positive total"),
+    "sensitivity": lambda obs, rep: _peak_ratio_at(
+        rep, obs, "accuracy_sensitivity requires a report with positive total"),
     "average": lambda obs, rep: accuracy_average(expected_quality(obs), rep),
 }
 _ACCURACY_MEASURES["max-certainty"] = _ACCURACY_MEASURES["maxcertainty"]

@@ -14,8 +14,11 @@ observes, and updates every referrer's trust.
 The draws of a history run depend on the seed, the profile, ``timesteps``
 and ``tx_per_step``, never on β or the mode.  :func:`history_errors` uses
 that (common random numbers): it draws once and folds a whole β grid over
-the same observations, building no records.  Every history run goes through
-the history method's fold, ``_fold`` in :mod:`evitrust.updates`.
+the same observations, building no records.  Nor does it fold again the
+stream that its last call folded: the deterministic profiles (Periodic,
+Damping, and Probability with p of 0 or 1) draw the same observations at
+every seed.  Every history run goes through the history method's fold,
+``_fold`` in :mod:`evitrust.updates`.
 
 Determinism contract: every random draw comes from numpy PCG64 generators
 derived from the experiment seed with a fixed spawn layout (one independent
@@ -44,6 +47,7 @@ polarity of its reports after the switch.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -622,18 +626,34 @@ def history_errors(
     replace(config, beta=b), profile, mode)) for b in betas]``, but the
     observations are drawn once, and neither records nor the certainty of
     each prediction are built.  Amazon and TrustInHistory do not depend on β
-    and are folded once.
+    and are folded once.  A stream that the last call already folded at the
+    same retentions is not folded again: Periodic, Damping and Probability(0
+    or 1) draw the same stream at every seed, so a sweep over seeds folds it
+    once.  The last stream and its errors stay held after the call returns,
+    about 110 bytes per step, until a call with another stream replaces
+    them.
     """
     mode = HistoryMode(mode)
     for b in betas:
         if not (0.0 <= b <= 1.0):
             raise ValueError(f"beta must be in [0, 1], got {b}")
-    observed = _history_observations(config, profile)
-    alphas = [_quality(k, m) for k, m in observed]
-
-    def error(keep: Optional[float]) -> float:
-        return _fold(observed, alphas, keep)[0] / len(observed)
-
+    observed = tuple(_history_observations(config, profile))
     if mode is HistoryMode.FIXED_BETA:
-        return [error(1.0 - b) for b in betas]
-    return [error(_keep(mode, config.beta))] * len(betas)
+        return list(_grid_errors(observed, tuple(1.0 - b for b in betas)))
+    return list(_grid_errors(observed, (_keep(mode, config.beta),))) * len(betas)
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_errors(
+    observed: Tuple[Tuple[float, float], ...], keeps: Tuple[Optional[float], ...]
+) -> Tuple[float, ...]:
+    """The prediction error of a history fold over ``observed`` at each
+    retention in ``keeps``.
+
+    The one cache entry holds the last stream after :func:`history_errors`
+    returns, about 110 bytes per step: some 110 MB at the CLI's largest
+    ``--timesteps`` (10⁶).  ``_grid_errors.cache_clear()`` releases it.
+    Each call hashes the whole stream, and a hit compares it pair by pair.
+    """
+    alphas = [_quality(k, m) for k, m in observed]
+    return tuple(_fold(observed, alphas, keep)[0] / len(observed) for keep in keeps)

@@ -153,7 +153,7 @@ def accuracy_max_certainty(observed: Evidence, alpha_prime: float) -> float:
     _check_unit("alpha_prime", alpha_prime)
     if observed.total <= 0:
         raise ValueError("accuracy_max_certainty requires observed evidence with positive total")
-    return _peak_ratio(observed.r, observed.s, alpha_prime)
+    return _peak_ratio(observed.r, observed.s, alpha_prime, 1.0 - alpha_prime)
 
 
 def accuracy_sensitivity(alpha: float, report: Evidence) -> float:
@@ -165,20 +165,29 @@ def accuracy_sensitivity(alpha: float, report: Evidence) -> float:
     _check_unit("alpha", alpha)
     if report.total <= 0:
         raise ValueError("accuracy_sensitivity requires a report with positive total")
-    return _peak_ratio(report.r, report.s, alpha)
+    return _peak_ratio(report.r, report.s, alpha, 1.0 - alpha)
 
 
-def _peak_ratio(r: float, s: float, x: float) -> float:
+def _peak_ratio(r: float, s: float, x: float, y: float) -> float:
     """f(x)/f(α) for the density f of ⟨r, s⟩, which peaks at α = r/(r+s),
-    with 0·log 0 := 0."""
+    with 0·log 0 := 0.
+
+    y is 1 − x, given apart: from counts ⟨r′, s′⟩ it is s′/(r′+s′), which
+    keeps its digits when x rounds to 1.  A peak that rounds to 0 or 1 takes
+    its logs from the counts, so that near-one-sided evidence neither scores
+    a far point as 1 nor the peak itself as nan.  A total that overflows has
+    no peak to divide by: it is a ValueError.
+    """
+    if r + s == math.inf:
+        raise ValueError(f"the evidence total overflows: r={r!r}, s={s!r}")
     peak = _quality(r, s)
     log_q = 0.0
     if r > 0.0:
         log_q += r * (math.log(x) if x > 0.0 else -math.inf)
-        log_q -= r * (math.log(peak) if peak > 0.0 else -math.inf)
+        log_q -= r * (math.log(peak) if peak > 0.0 else math.log(r) - math.log(r + s))
     if s > 0.0:
-        log_q += s * (math.log1p(-x) if x < 1.0 else -math.inf)
-        log_q -= s * (math.log1p(-peak) if peak < 1.0 else -math.inf)
+        log_q += s * (math.log1p(-x) if x < 1.0 else math.log(y) if y > 0.0 else -math.inf)
+        log_q -= s * (math.log1p(-peak) if peak < 1.0 else math.log(s) - math.log(r + s))
     # The density peaks at α, so log_q <= 0 up to rounding noise.
     return math.exp(min(log_q, 0.0))
 
@@ -245,9 +254,9 @@ def _update(
         q = 1.0 - abs((r + 1.0) / (r + s + 2.0) - (rp + 1.0) / (rp + sp + 2.0))
         c_prime = (rp + sp) / (rp + sp + 2.0)
     elif method is UpdateMethod.MAX_CERTAINTY:
-        q, c_prime = _peak_ratio(r, s, _quality(rp, sp)), _certainty(rp, sp)
+        q, c_prime = _peak_ratio(r, s, _quality(rp, sp), _quality(sp, rp)), _certainty(rp, sp)
     else:  # Sensitivity
-        q, c_prime = _peak_ratio(rp, sp, alpha), _certainty(rp, sp)
+        q, c_prime = _peak_ratio(rp, sp, alpha, _quality(s, r)), _certainty(rp, sp)
     retain = 1.0 - beta
     return c_prime * q + retain * prior_r, c_prime * (1.0 - q) + retain * prior_s
 
@@ -314,7 +323,7 @@ def _fold(
         return gap, (r, s, trust_r, trust_s)
     for (k, m), alpha in zip(observed, alphas):
         total = r + s
-        gap += abs((0.5 if total == 0 else r / total) - alpha)
+        gap += abs((r / total if total else 0.5) - alpha)
         r = r * keep + k
         s = s * keep + m
     return gap, (r, s, trust_r, trust_s)

@@ -59,6 +59,9 @@ CASES = [
     f"{_SWEEP} --seeds 3 --format json",
     f"{_SWEEP} --seeds 2 --mode TrustInHistory",
     f"{_SWEEP} --seeds 2 --mode Amazon --seed 11",
+    # profiles whose every seed draws the same stream
+    "sweep --profiles periodic,damping:40 --beta-grid 0:1:0.25 --seeds 4 --mode TrustInHistory",
+    "sweep --profiles damping:30,probability:1.0 --beta-grid 0:1:0.1 --seeds 3 --format json",
     "sweep --experiment referrer --profiles truthful,rumor:10,5 --beta-grid 0:1:0.5 "
     "--timesteps 30 --seeds 2",
     "sweep --experiment referrer --profiles corrupted:10 --beta-grid 0.1:0.3:0.1 "
@@ -71,6 +74,12 @@ CASES = [
     *(f"update --method {m} --observed 7,3 --report 4,6 --prior 2,1 --beta 0.1" for m in _M),
     *(f"accuracy --method {m} --observed 7,3 --report 4,6"
       for m in ("linear", "max-certainty", "sensitivity", "average")),
+    # a near-one-sided peak, far from the point and at it
+    "accuracy --method max-certainty --observed 1e6,1e-11 --report 1,1",
+    "accuracy --method sensitivity --observed 1,1 --report 1e6,1e-11",
+    "accuracy --method max-certainty --observed 1e6,1e-11 --report 1e6,1e-11",
+    *(f"update --method {m} --observed 1e6,1e-11 --report 1e6,1e-11"
+      for m in ("MaxCertainty", "Sensitivity")),
     "certainty 3 4",
     "certainty 0 100",
     "certainty 5e5 5e5",

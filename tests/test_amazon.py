@@ -15,6 +15,15 @@ from evitrust.amazon import (
     synthesize_feedback,
 )
 from evitrust.errors import FeedbackFormatError
+from evitrust.simulation import (
+    Momentum,
+    Periodic,
+    Probability,
+    Random,
+    RandomWalk,
+    _streams,
+    behavior_sequence,
+)
 
 
 class TestRatingToEvidence:
@@ -265,6 +274,24 @@ class TestSynthesizeFeedback:
         assert len(recs) == 21
         assert len({r.seller_id for r in recs}) == 3
         assert all(1 <= r.rating <= 5 for r in recs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("profile", [
+        Probability(0.9), Probability(0.3), Random(), RandomWalk(0.2), Momentum(0.1, 0.5),
+        Periodic(),
+    ], ids=repr)
+    def test_one_binomial_call_matches_per_feedback_draws(self, seed, profile):
+        """A seller's ratings come from one binomial call: the ratings of one
+        draw per feedback, after the seller's behavior values."""
+        want = []
+        for idx, rng in enumerate(_streams(seed, 3)):
+            xs = behavior_sequence(profile, rng, 200)
+            want += [FeedbackRecord(f"seller{idx + 1:02d}", t, 1 + int(rng.binomial(4, x)))
+                     for t, x in enumerate(xs, start=1)]
+        assert synthesize_feedback(3, 200, seed=seed, profile=profile) == want
+
+    def test_no_feedbacks(self):
+        assert synthesize_feedback(sellers=2, feedbacks_per_seller=0) == []
 
 
 _HEADER = "seller_id,t,rating\n"

@@ -109,6 +109,27 @@ class TestAccuracyCommand:
                          "--observed", "1,1", "--report=-1,2")
         assert code == 2
 
+    @pytest.mark.parametrize("method,observed,report,want", [
+        # Far from a peak that rounds to 1: q is about e^−693147.
+        ("max-certainty", "1e6,1e-11", "1,1", "0"),
+        ("sensitivity", "1,1", "1e6,1e-11", "0"),
+        # At that peak, where the point rounds to 1 too.
+        ("max-certainty", "1e6,1e-11", "1e6,1e-11", "1"),
+        ("sensitivity", "1e6,1e-11", "1e6,1e-11", "1"),
+        # A peak that rounds to 0 (only below the normal floats).
+        ("max-certainty", "1e-320,1e6", "1,1", "0"),
+    ])
+    def test_near_one_sided_peak(self, capsys, method, observed, report, want):
+        code, out, _ = run(capsys, "accuracy", "--method", method,
+                           "--observed", observed, "--report", report)
+        assert (code, out) == (0, want + "\n")
+
+    def test_overflowing_total_is_data_error(self, capsys):
+        code, out, err = run(capsys, "accuracy", "--method", "max-certainty",
+                             "--observed", "1.7e308,1.7e308", "--report", "1,1")
+        assert (code, out) == (2, "")
+        assert "overflows" in err
+
 
 class TestUpdateCommand:
     def test_emits_json_evidence(self, capsys):
@@ -118,6 +139,16 @@ class TestUpdateCommand:
         obj = json.loads(out)
         assert obj["r"] == pytest.approx(0.3756, abs=1e-3)
         assert obj["s"] == pytest.approx(0.0696, abs=1e-3)
+
+    @pytest.mark.parametrize("method", ["MaxCertainty", "Sensitivity"])
+    def test_report_at_a_peak_that_rounds_to_one(self, capsys, method):
+        """q is 1, so the trust moves by c′ ≈ 1 on the good side."""
+        code, out, _ = run(capsys, "update", "--method", method,
+                           "--observed", "1e6,1e-11", "--report", "1e6,1e-11")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["r"] == pytest.approx(1.8, abs=1e-4)
+        assert obj["s"] == pytest.approx(0.8, abs=1e-15)
 
     def test_history_method_rejected(self, capsys):
         code, _, err = run(capsys, "update", "--method", "AverageAlpha",
@@ -840,6 +871,25 @@ class TestBoundedRuns:
             cli_main(["sweep", "--experiment", experiment, "--profiles", profile,
                       "--beta-grid", "0.5:0.5:1", "--seeds", str(10**12)])
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("profile,folds", [("periodic", 21), ("probability:0.9", 105)])
+    def test_sweep_folds_each_distinct_stream_once(self, capsys, monkeypatch, profile, folds):
+        """Periodic draws one stream at all 5 seeds, so its 21-point grid is
+        folded once; Probability(0.9) draws 5 streams."""
+        from evitrust import simulation
+
+        fold, calls = simulation._fold, []
+
+        def counted(*args):
+            calls.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(simulation, "_fold", counted)
+        simulation._grid_errors.cache_clear()
+        code, _, _ = run(capsys, "sweep", "--profiles", profile, "--beta-grid", "0:1:0.05",
+                         "--seeds", "5")
+        assert code == 0
+        assert len(calls) == folds
 
     def test_sweep_mean_sums_the_seeds_left_to_right(self, capsys, monkeypatch):
         import evitrust.cli as cli_mod

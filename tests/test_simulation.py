@@ -362,6 +362,38 @@ class TestHistoryErrors:
         with pytest.raises(ValueError, match="beta"):
             history_errors(ExperimentConfig(), Periodic(), HistoryMode.AMAZON, [0.5, 1.5])
 
+    @pytest.mark.parametrize("mode", list(HistoryMode))
+    def test_memo_equals_one_run_per_beta(self, mode):
+        """The last stream's errors are kept: by profile then seed the
+        deterministic profiles hit the memo, by seed then profile every call
+        misses it, and every call equals one run per β."""
+        profiles = [Periodic(), Damping(40), Probability(1.0), Probability(0.9), Random()]
+        seeds = range(6)
+        calls = [(p, s) for p in profiles for s in seeds] + [(p, s) for s in seeds for p in profiles]
+        simulation._grid_errors.cache_clear()
+        for profile, seed in calls:
+            cfg = ExperimentConfig(timesteps=30, tx_per_step=20, seed=seed)
+            expected = [
+                prediction_error(run_history_experiment(replace(cfg, beta=b), profile, mode))
+                for b in self.BETAS
+            ]
+            assert history_errors(cfg, profile, mode, self.BETAS) == expected
+        info = simulation._grid_errors.cache_info()
+        assert info.hits == 3 * 5 and info.misses == len(calls) - info.hits
+
+    @pytest.mark.parametrize("tx", [7, 50, 1000, 10**5, 2**40])
+    @pytest.mark.parametrize("profile", [Periodic(), Damping(40), Probability(0.0),
+                                         Probability(1.0)], ids=repr)
+    def test_deterministic_profiles_draw_one_stream_at_every_seed(self, profile, tx):
+        """X_t is 0 or 1, and numpy's binomial(n, 0) and binomial(n, 1) are 0
+        and n in both of its branches, so every seed observes the same stream.
+        If numpy stops doing so, history_errors stays right but folds every
+        seed."""
+        cfg = ExperimentConfig(timesteps=60, tx_per_step=tx)
+        streams = {tuple(simulation._history_observations(replace(cfg, seed=s), profile))
+                   for s in range(6)}
+        assert len(streams) == 1, f"numpy {np.__version__} draws {profile!r} apart by seed"
+
 
 class TestCertaintyPred:
     def test_derived_from_prediction_in_every_driver(self):

@@ -20,6 +20,7 @@ from evitrust.updates import (
     history_update,
     update_referrer,
 )
+from evitrust.updates import _peak_ratio
 
 
 class TestGeneralUpdate:
@@ -87,6 +88,41 @@ class TestAccuracyMaxCertainty:
         # observed all-positive: q = alpha'^r
         assert accuracy_max_certainty(Evidence(3, 0), 0.5) == pytest.approx(0.125)
         assert accuracy_max_certainty(Evidence(3, 0), 0.0) == 0.0
+
+
+class TestPeakRatioNearOneSidedEvidence:
+    """The peak ratios when r/(r+s) rounds to 0 or 1."""
+
+    def test_far_point_scores_zero(self):
+        assert accuracy_max_certainty(Evidence(1e6, 1e-11), 0.5) == 0.0
+        assert accuracy_sensitivity(0.5, Evidence(1e6, 1e-11)) == 0.0
+        assert accuracy_max_certainty(Evidence(1e-320, 1e6), 0.5) == 0.0
+
+    def test_counts_score_their_own_peak_one(self):
+        for method in (UpdateMethod.MAX_CERTAINTY, UpdateMethod.SENSITIVITY):
+            out = update_referrer(UpdateConfig(method, 1.0), Evidence(1e6, 1e-11),
+                                  Evidence(1e6, 1e-11), Evidence(0, 0))
+            assert out.s == 0.0 and out.r == certainty(Evidence(1e6, 1e-11))
+
+    _COUNTS = [0.0, 5e-324, 1e-300, 1e-17, 1e-11, 1e-6, 0.5, 1.0, 3.0, 1e6, 1e15, 1e300, 1.7e308]
+    _POINTS = [0.0, 5e-324, 1e-17, 0.3, 0.5, 1 - 2**-53, 1.0]
+
+    def test_no_finite_evidence_gives_nan(self):
+        """q lies in [0, 1] for every finite evidence and point, or, when the
+        total overflows, is a ValueError; from counts too."""
+        pairs = [(r, s) for r in self._COUNTS for s in self._COUNTS if r + s > 0]
+        for r, s in pairs:
+            e = Evidence(r, s)
+            qs = [lambda x=x: accuracy_max_certainty(e, x) for x in self._POINTS]
+            qs += [lambda x=x: accuracy_sensitivity(x, e) for x in self._POINTS]
+            qs += [lambda rp=rp, sp=sp: _peak_ratio(r, s, rp / (rp + sp), sp / (rp + sp))
+                   for rp, sp in pairs if rp + sp < math.inf]
+            for q in qs:
+                if r + s == math.inf:
+                    with pytest.raises(ValueError, match="overflows"):
+                        q()
+                else:
+                    assert 0.0 <= q() <= 1.0, (r, s)
 
 
 class TestAccuracySensitivity:
