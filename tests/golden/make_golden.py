@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
 import numpy
 
@@ -29,6 +30,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 MANIFEST = os.path.join(HERE, "manifest.json")
 # An argv item that stands for a CSV file of ``synthesize_feedback()``.
 SYNTH = "{synth}"
+# Stands for the case's own temporary directory, in argv items and in stderr.
+TMP = "{tmp}"
 
 _M = ("LinearWS", "Josang", "MaxCertainty", "Sensitivity", "AverageBeta")
 _SWEEP = "sweep --profiles probability:0.9,periodic,walk:0.2 --beta-grid 0:1:0.25 --timesteps 40"
@@ -87,6 +90,24 @@ CASES = [
     "update --method Bogus --observed 1,1 --report 1,1",
     "certainty -1 2",
     "certainty 1e200 1e200",
+    # help, for the whole CLI and for each command
+    "--help",
+    *(f"{c} --help" for c in ("certainty", "accuracy", "update", "simulate", "sweep", "amazon")),
+    # the bounds of counts and seeds, and names that parse or not
+    *(f"simulate --experiment history {flag}"
+      for flag in ("--tx 0", "--timesteps 1000001", "--seed -1", "--seed x", "--mode bogus",
+                   "--mode averagealpha --timesteps 5")),
+    "sweep --profiles periodic --beta-grid 0:1:0.5 --seed 18446744073709551615",
+    "update --method AverageAlpha --observed 1,1 --report 1,1",
+    # a peak ratio over evidence with no total
+    "accuracy --method max-certainty --observed 0,0 --report 1,1",
+    "accuracy --method sensitivity --observed 1,1 --report 0,0",
+    # evidence whose total overflows
+    "accuracy --method linear --observed 1.7e308,1.7e308 --report 1,1",
+    "accuracy --method average --observed 1,1 --report 1.7e308,1.7e308",
+    # files that cannot be opened
+    "amazon --input {tmp}/missing.csv",
+    "amazon --out {tmp}/missing/table.csv",
 ]
 FULL = [
     "simulate --experiment referrer --timesteps 60 --method LinearWS --profile rumor:20,10",
@@ -105,7 +126,8 @@ def _synth_csv() -> str:
 
 
 def run_case(case: str):
-    """(exit code, stdout, first line of stderr) of one case."""
+    """(exit code, stdout, first line of stderr) of one case.  A ``SystemExit``
+    (as ``--help`` raises) gives its code; help is wrapped at 80 columns."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = case.split()
         if SYNTH in argv:
@@ -113,10 +135,15 @@ def run_case(case: str):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(_synth_csv())
             argv = [path if a == SYNTH else a for a in argv]
+        argv = [a.replace(TMP, tmp) for a in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(argv)
-    return code, out.getvalue(), err.getvalue().partition("\n")[0]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue().partition("\n")[0].replace(tmp, TMP)
 
 
 def sha256(text: str) -> str:
