@@ -14,6 +14,10 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numeric
 non-convergence.  All data output is a deterministic function of the flags
 (fixed column orders, repr-formatted floats, no timestamps), so repeated
 runs with the same seed produce byte-identical files.
+
+The flags' defaults and bounds come from the library where it owns them:
+``ExperimentConfig`` and ``UpdateConfig`` give the run and update defaults,
+and ``simulation`` bounds transaction counts and seeds.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import json
 import math
 import sys
 from dataclasses import fields
-from typing import List, Optional, Sequence, Tuple, get_args
+from enum import Enum
+from typing import Callable, List, Optional, Sequence, Tuple, Type, Union, get_args
 
 from .amazon import (
     AmazonConfig,
@@ -35,6 +40,8 @@ from .amazon import (
 from .core import Evidence, _quality, certainty, expected_quality
 from .errors import ConvergenceError, FeedbackFormatError
 from .simulation import (
+    _MAX_SEED,
+    _MAX_TRANSACTIONS,
     _PROFILES,
     ExperimentConfig,
     HistoryMode,
@@ -69,6 +76,12 @@ class _UsageError(Exception):
     pass
 
 
+# The exit code of each error that ends a command; none of these classes is
+# another's subclass.
+_EXIT_CODES = {_UsageError: EXIT_USAGE, FeedbackFormatError: EXIT_DATA,
+               ConvergenceError: EXIT_NUMERIC, ValueError: EXIT_DATA, OSError: EXIT_DATA}
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         # No prefix matching, here or in the subcommands (which argparse
@@ -77,10 +90,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # noqa: A003 - argparse API
         raise _UsageError(message)
-
-
-_UPDATE_METHODS = {m.value.lower(): m for m in UpdateMethod}
-_HISTORY_MODES = {m.value.lower(): m for m in HistoryMode}
 
 
 def _peak_ratio_at(density: Evidence, point: Evidence, empty: str) -> float:
@@ -114,35 +123,26 @@ def _parse_evidence(text: str) -> Tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected two numbers 'r,s', got {text!r}")
 
 
-def _parse_count(text: str, most: int = 2**63 - 1) -> int:
-    """Parse a count in [1, most]; numpy's binomial takes none above 2**63 - 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 1 <= n <= most:
-        raise argparse.ArgumentTypeError(f"must be in [1, {most}], got {n}")
-    return n
+def _int_in(least: int, most: int, shown: Optional[str] = None) -> Callable[[str], int]:
+    """A parser of integers in [least, most]; its messages write ``most`` as
+    ``shown``, when given."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if not least <= n <= most:
+            raise argparse.ArgumentTypeError(f"must be in [{least}, {shown or most}], got {n}")
+        return n
+    return parse
 
 
 # A run holds about 1.1–1.8 KB per step (peak RSS is 255 MB for a 2×10⁵-step
 # history run and 210 MB for a 10⁵-step combine run), so 10⁶ take up to 1.8 GB.
 _MAX_TIMESTEPS = 10**6
-
-
-def _parse_timesteps(text: str) -> int:
-    return _parse_count(text, _MAX_TIMESTEPS)
-
-
-def _parse_seed(text: str) -> int:
-    """Parse a seed, which numpy takes as an integer in [0, 2**64 - 1]."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 0 <= n <= 2**64 - 1:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64 - 1], got {n}")
-    return n
+# The largest seed, as messages write it.
+_MAX_SEED_SHOWN = f"2**{_MAX_SEED.bit_length()} - 1"
 
 
 def _parse_rate(text: str) -> float:
@@ -215,37 +215,31 @@ def parse_profile(text: str):
         raise argparse.ArgumentTypeError(f"bad profile arguments in {text!r}: {exc}")
 
 
-def _parse_update_method(text: str) -> UpdateMethod:
-    key = text.strip().lower()
-    if key == "averagealpha":
-        raise argparse.ArgumentTypeError(
-            "AverageAlpha is a history method, not a referrer update; use "
-            "'simulate --experiment history --mode TrustInHistory'"
-        )
-    if key not in _UPDATE_METHODS:
-        raise argparse.ArgumentTypeError(
-            f"unknown method {text!r}; expected one of {', '.join(m.value for m in UpdateMethod)}"
-        )
-    return _UPDATE_METHODS[key]
+def _member_of(kind: Type[Enum], noun: str,
+               averagealpha: Union[Enum, str]) -> Callable[[str], Enum]:
+    """A parser of ``kind``'s members by value, in any case.  The history
+    method AverageAlpha parses as ``averagealpha``, a member or an error's
+    message."""
+    members = {m.value.lower(): m for m in kind}
+    members["averagealpha"] = averagealpha
+
+    def parse(text: str) -> Enum:
+        member = members.get(text.strip().lower())
+        if member is None:
+            raise argparse.ArgumentTypeError(
+                f"unknown {noun} {text!r}; expected one of {', '.join(m.value for m in kind)}"
+            )
+        if not isinstance(member, kind):
+            raise argparse.ArgumentTypeError(member)
+        return member
+    return parse
 
 
-def _parse_history_mode(text: str) -> HistoryMode:
-    key = text.strip().lower()
-    if key == "averagealpha":
-        return HistoryMode.TRUST_IN_HISTORY
-    if key not in _HISTORY_MODES:
-        raise argparse.ArgumentTypeError(
-            f"unknown mode {text!r}; expected one of {', '.join(m.value for m in HistoryMode)}"
-        )
-    return _HISTORY_MODES[key]
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+_parse_method = _member_of(UpdateMethod, "method",
+                           "AverageAlpha is a history method, not a referrer update; use "
+                           "'simulate --experiment history --mode TrustInHistory'")
+_parse_mode = _member_of(HistoryMode, "mode", HistoryMode.TRUST_IN_HISTORY)
+_MODES = " | ".join(m.value for m in HistoryMode)
 
 
 def _add_command(sub, name: str, about: str, *shared: str) -> _Parser:
@@ -254,17 +248,35 @@ def _add_command(sub, name: str, about: str, *shared: str) -> _Parser:
     p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
     if "--format" in shared:
         p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format for tabular data (default csv)")
+                       help="output format for tabular data (default %(default)s)")
     if "--seed" in shared:
-        p.add_argument("--seed", type=_parse_seed, default=0, help="base RNG seed (default 0)")
+        p.add_argument("--seed", type=_int_in(0, _MAX_SEED, _MAX_SEED_SHOWN), default=0,
+                       help="base RNG seed (default %(default)s)")
     return p
+
+
+# The defaults of ExperimentConfig, which the runs start from.
+_RUN = ExperimentConfig()
+
+# The run-dependent flags that each (command, experiment) reads, each with its
+# default.  A history run reads --beta only in FixedBeta mode.
+_RUN_FLAGS = {
+    ("simulate", "referrer"): dict(profile=Truthful(), method=_RUN.method, beta=_RUN.beta),
+    ("simulate", "combine"): dict(method=_RUN.method, beta=_RUN.beta, switch=50),
+    ("simulate", "history"): dict(profile=Probability(), mode=HistoryMode.TRUST_IN_HISTORY,
+                                  beta=_RUN.beta),
+    ("sweep", "referrer"): dict(method=_RUN.method),
+    ("sweep", "history"): dict(mode=HistoryMode.FIXED_BETA),
+}
+_RUN_FLAG_NAMES = tuple(dict.fromkeys(name for flags in _RUN_FLAGS.values() for name in flags))
 
 
 def _build_parser(command: Optional[str] = None) -> _Parser:
     """The CLI parser.  Named a command, it builds only that subcommand, the
     one that parsing reaches; with no command, ``-h`` or an unknown command
     it builds all of them, so that help and the list of choices are whole."""
-    parser = _Parser(prog="evitrust", description=__doc__,
+    # The help leaves out the docstring's last paragraph, which is for readers of the code.
+    parser = _Parser(prog="evitrust", description=__doc__.rpartition("\n\n")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     build_all = command not in _COMMANDS
@@ -283,10 +295,10 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
         p.add_argument("--report", required=True, type=_parse_evidence, metavar="R,S")
 
     if p := add("update", "one trust update of a report's source"):
-        p.add_argument("--method", required=True, type=_parse_update_method,
+        p.add_argument("--method", required=True, type=_parse_method,
                        help=" | ".join(m.value for m in UpdateMethod))
-        p.add_argument("--beta", type=_parse_rate, default=0.2,
-                       help="forgetting rate (default 0.2)")
+        p.add_argument("--beta", type=_parse_rate, default=UpdateConfig.beta,
+                       help="forgetting rate (default %(default)s)")
         p.add_argument("--observed", required=True, type=_parse_evidence, metavar="R,S")
         p.add_argument("--report", required=True, type=_parse_evidence, metavar="R,S")
         p.add_argument("--prior", type=_parse_evidence, default=(1.0, 1.0), metavar="R,S",
@@ -298,38 +310,39 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
         p.add_argument("--profile", type=parse_profile,
                        help="e.g. periodic, rumor:50,10 (referrer, "
                        "default truthful; history, default probability:0.9)")
-        p.add_argument("--method", type=_parse_update_method,
-                       help="referrer update (referrer and combine; default AverageBeta)")
-        p.add_argument("--mode", type=_parse_history_mode,
-                       help="Amazon | FixedBeta | TrustInHistory (history; default TrustInHistory)")
+        p.add_argument("--method", type=_parse_method,
+                       help=f"referrer update (referrer and combine; default {_RUN.method.value})")
+        p.add_argument("--mode", type=_parse_mode, help=f"{_MODES} (history; default "
+                       f"{_RUN_FLAGS['simulate', 'history']['mode'].value})")
         p.add_argument("--beta", type=_parse_rate,
                        help="forgetting rate (referrer, combine and FixedBeta history; "
-                       "default 0.2)")
-        p.add_argument("--timesteps", type=_parse_timesteps, default=100)
-        p.add_argument("--tx", type=_parse_count, default=50,
-                       help="transactions per step (default 50)")
-        p.add_argument("--switch", type=int, help="corruption step (combine; default 50)")
+                       f"default {_RUN.beta})")
+        p.add_argument("--timesteps", type=_int_in(1, _MAX_TIMESTEPS), default=_RUN.timesteps)
+        p.add_argument("--tx", type=_int_in(1, _MAX_TRANSACTIONS), default=_RUN.tx_per_step,
+                       help="transactions per step (default %(default)s)")
+        p.add_argument("--switch", type=int, help="corruption step (combine; default "
+                       f"{_RUN_FLAGS['simulate', 'combine']['switch']})")
 
     if p := add("sweep", "error vs. beta over a grid", "--format", "--seed"):
         p.add_argument("--experiment", choices=("referrer", "history"), default="history")
         p.add_argument("--profiles", required=True, type=_split_profiles,
                        help="comma-separated profile specs, e.g. probability:0.9,periodic")
         p.add_argument("--beta-grid", required=True, type=_parse_grid, metavar="LO:HI:STEP")
-        p.add_argument("--method", type=_parse_update_method,
-                       help="referrer update (referrer; default AverageBeta)")
-        p.add_argument("--mode", type=_parse_history_mode,
-                       help="Amazon | FixedBeta | TrustInHistory (history; default FixedBeta)")
-        p.add_argument("--seeds", type=_parse_count, default=5,
-                       help="seeds averaged per grid point (default 5)")
-        p.add_argument("--timesteps", type=_parse_timesteps, default=100)
-        p.add_argument("--tx", type=_parse_count, default=50)
+        p.add_argument("--method", type=_parse_method,
+                       help=f"referrer update (referrer; default {_RUN.method.value})")
+        p.add_argument("--mode", type=_parse_mode, help=f"{_MODES} (history; default "
+                       f"{_RUN_FLAGS['sweep', 'history']['mode'].value})")
+        p.add_argument("--seeds", type=_int_in(1, _MAX_TRANSACTIONS), default=5,
+                       help="seeds averaged per grid point (default %(default)s)")
+        p.add_argument("--timesteps", type=_int_in(1, _MAX_TIMESTEPS), default=_RUN.timesteps)
+        p.add_argument("--tx", type=_int_in(1, _MAX_TRANSACTIONS), default=_RUN.tx_per_step)
 
     if p := add("amazon", "feedback-prediction error table", "--format"):
         p.add_argument("--input", default=None, metavar="FILE",
                        help="feedback CSV (seller_id,t,rating); default: bundled sample")
         p.add_argument("--lambda-grid", type=_parse_grid, default="0:1:0.1",
                        metavar="LO:HI:STEP",
-                       help="geometric-weight retention grid (default 0:1:0.1)")
+                       help="geometric-weight retention grid (default %(default)s)")
 
     return parser
 
@@ -353,40 +366,24 @@ def _split_profiles(text: str) -> List:
     return [parse_profile(p) for p in out]
 
 
-def _cmd_certainty(args) -> int:
+def _cmd_certainty(args) -> str:
     value = certainty(Evidence(args.r, args.s))
-    _emit(f"{value:.10g}\n", args.out)
-    return EXIT_OK
+    return f"{value:.10g}\n"
 
 
-def _cmd_accuracy(args) -> int:
+def _cmd_accuracy(args) -> str:
     measure = _ACCURACY_MEASURES.get(args.method.strip().lower())
     if measure is None:
         raise _UsageError(f"unknown accuracy method {args.method!r}")
     q = measure(Evidence(*args.observed), Evidence(*args.report))
-    _emit(f"{q:.10g}\n", args.out)
-    return EXIT_OK
+    return f"{q:.10g}\n"
 
 
-def _cmd_update(args) -> int:
+def _cmd_update(args) -> str:
     cfg = UpdateConfig(method=args.method, beta=args.beta)
     updated = update_referrer(cfg, Evidence(*args.observed), Evidence(*args.report),
                               Evidence(*args.prior))
-    _emit(json.dumps(updated.to_dict()) + "\n", args.out)
-    return EXIT_OK
-
-
-# The run-dependent flags that each (command, experiment) reads, each with its
-# default.  A history run reads --beta only in FixedBeta mode.
-_RUN_FLAGS = {
-    ("simulate", "referrer"): dict(profile=Truthful(), method=UpdateMethod.AVERAGE_BETA, beta=0.2),
-    ("simulate", "combine"): dict(method=UpdateMethod.AVERAGE_BETA, beta=0.2, switch=50),
-    ("simulate", "history"): dict(profile=Probability(), mode=HistoryMode.TRUST_IN_HISTORY,
-                                  beta=0.2),
-    ("sweep", "referrer"): dict(method=UpdateMethod.AVERAGE_BETA),
-    ("sweep", "history"): dict(mode=HistoryMode.FIXED_BETA),
-}
-_RUN_FLAG_NAMES = tuple(dict.fromkeys(name for flags in _RUN_FLAGS.values() for name in flags))
+    return json.dumps(updated.to_dict()) + "\n"
 
 
 def _read_run_flags(args) -> List[str]:
@@ -419,7 +416,7 @@ def _require_behavior_profiles(*profiles) -> None:
         raise _UsageError("history experiment needs a behavior profile, not a referrer profile")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     given = _read_run_flags(args)
     cfg = _experiment_config(args)
     if args.experiment == "referrer":
@@ -433,15 +430,13 @@ def _cmd_simulate(args) -> int:
     else:
         _require_behavior_profiles(args.profile)
         records = run_history_experiment(cfg, args.profile, args.mode)
-    text = records_to_json(records) if args.format == "json" else records_to_csv(records)
-    _emit(text, args.out)
-    return EXIT_OK
+    return records_to_json(records) if args.format == "json" else records_to_csv(records)
 
 
-def _cmd_sweep(args) -> int:
-    if args.seed + args.seeds - 1 > 2**64 - 1:
+def _cmd_sweep(args) -> str:
+    if args.seed + args.seeds - 1 > _MAX_SEED:
         raise _UsageError(f"--seed {args.seed} with --seeds {args.seeds} runs up to seed "
-                          f"{args.seed + args.seeds - 1}, past 2**64 - 1")
+                          f"{args.seed + args.seeds - 1}, past {_MAX_SEED_SHOWN}")
     _read_run_flags(args)
     if args.experiment == "history":
         _require_behavior_profiles(*args.profiles)
@@ -465,8 +460,7 @@ def _cmd_sweep(args) -> int:
             totals = [total + error for total, error in zip(totals, errors)]
         rows += ([type(profile).__name__, label, beta, total / args.seeds]
                  for beta, total in zip(args.beta_grid, totals))
-    _emit(_table(header, rows, args.format), args.out)
-    return EXIT_OK
+    return _table(header, rows, args.format)
 
 
 def _bundled_sample_text() -> str:
@@ -475,7 +469,7 @@ def _bundled_sample_text() -> str:
     return resources.files("evitrust").joinpath("data/amazon_sample.csv").read_text("utf-8")
 
 
-def _cmd_amazon(args) -> int:
+def _cmd_amazon(args) -> str:
     if args.input:
         records = load_feedback_csv(args.input)
     else:
@@ -486,8 +480,7 @@ def _cmd_amazon(args) -> int:
     results = run_amazon_experiment(records, configs)
     header = ["seller_id", "mode", "lambda", "error", "error_1to5"]
     rows = [[r.seller_id, r.mode.value, r.lambda_, r.error, r.error_scale5] for r in results]
-    _emit(_table(header, rows, args.format), args.out)
-    return EXIT_OK
+    return _table(header, rows, args.format)
 
 
 _COMMANDS = {
@@ -509,19 +502,16 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command is None:
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+        text = _COMMANDS[args.command](args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FeedbackFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def main() -> None:

@@ -207,8 +207,10 @@ def behavior_sequence(
     return values
 
 
-# numpy's binomial takes the transaction count as a signed 64-bit integer.
+# numpy's binomial takes the transaction count as a signed 64-bit integer,
+# and a run's seed is an unsigned one.
 _MAX_TRANSACTIONS = 2**63 - 1
+_MAX_SEED = 2**64 - 1
 
 
 def sample_transactions(x: float, n: int, rng: np.random.Generator) -> Evidence:
@@ -340,7 +342,7 @@ class ExperimentConfig:
             raise ValueError(f"tx_per_step must be in [1, 2**63 - 1], got {self.tx_per_step}")
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.seed < 0 or self.seed > 2**64 - 1:
+        if self.seed < 0 or self.seed > _MAX_SEED:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
