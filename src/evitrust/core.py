@@ -163,7 +163,12 @@ def expected_quality(e: Evidence) -> float:
 def _quality(r: float, s: float) -> float:
     """:func:`expected_quality` of plain counts, for folds that skip Evidence."""
     total = r + s
-    return 0.5 if total == 0 else r / total
+    if total == 0:
+        return 0.5
+    if total == math.inf:
+        # Finite counts whose sum overflows: halving both keeps their ratio exactly.
+        return r * 0.5 / (r * 0.5 + s * 0.5)
+    return r / total
 
 
 def _log_pcdf(r: float, s: float, x: float) -> float:
@@ -528,5 +533,7 @@ def _from_belief(b: float, d: float, u: float) -> Tuple[float, float]:
             f"for {what()}",
             best_estimate=best,
         )
-    total = math.exp(log_total)
+    # At the right end, exp(log MAX_EVIDENCE_TOTAL) would round below it.
+    log_max = math.log(MAX_EVIDENCE_TOTAL)
+    total = MAX_EVIDENCE_TOTAL if log_total == log_max else math.exp(log_total)
     return share_r * total, share_s * total

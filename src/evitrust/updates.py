@@ -206,8 +206,15 @@ def accuracy_average(alpha: float, report: Evidence) -> float:
 def _average_accuracy(alpha: float, rp: float, sp: float) -> float:
     """:func:`accuracy_average` against a report of plain counts ⟨r′, s′⟩."""
     n = rp + sp + 2.0
-    m = (rp + 1.0) / n
-    v = (rp + 1.0) * (sp + 1.0) / (n * n * (rp + sp + 3.0))
+    if n < 1e100:
+        m = (rp + 1.0) / n
+        v = (rp + 1.0) * (sp + 1.0) / (n * n * (rp + sp + 3.0))
+    else:
+        # n, or n²(n + 1) and (r′ + 1)(s′ + 1), may overflow here.  The mean is
+        # the same float from halved counts, and a variance below 1e-100 moves
+        # no q, so it is left out.
+        m = (rp * 0.5 + 0.5) / (rp * 0.5 + sp * 0.5 + 1.0)
+        v = 0.0
     e = math.sqrt((alpha - m) ** 2 + v)
     return min(max(1.0 - e, 0.0), 1.0)
 

@@ -68,6 +68,18 @@ class TestExpectedQuality:
     def test_190_60(self):
         assert expected_quality(Evidence(190, 60)) == pytest.approx(0.76)
 
+    def test_total_that_overflows(self):
+        assert Evidence(1.7e308, 1.7e308).total == math.inf
+        assert expected_quality(Evidence(1.7e308, 1.7e308)) == 0.5
+        # Scaling by a power of two moves no ratio.
+        scaled = Evidence(1.7e308 / 2**64, 0.85e308 / 2**64)
+        assert expected_quality(Evidence(1.7e308, 0.85e308)) == expected_quality(scaled)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.7976931348623157e308), st.floats(0.0, 1.7976931348623157e308))
+    def test_every_finite_evidence_has_a_quality(self, r, s):
+        assert 0.0 <= expected_quality(Evidence(r, s)) <= 1.0
+
 
 class TestPcdf:
     def test_uniform_with_no_evidence(self):
@@ -279,6 +291,22 @@ class TestFromBeliefSolve:
             from_belief(b)
         # Measured: 3.875 evaluations per inverse.
         assert len(calls) / len(beliefs) <= 4.08
+
+    # Beliefs whose certainty is that of MAX_EVIDENCE_TOTAL at α, plus δ.  At
+    # α = 0.999 the secant steps past the right end, which it then evaluates.
+    @pytest.mark.parametrize("alpha,below", [(0.5, 999999.94562), (0.999, 999999.27341)])
+    def test_edge_of_the_range(self, alpha, below):
+        c = certainty(Evidence(MAX_EVIDENCE_TOTAL * alpha, MAX_EVIDENCE_TOTAL * (1.0 - alpha)))
+
+        def solve(delta):
+            target = c + delta
+            return from_belief(Belief(alpha * target, (1.0 - alpha) * target, 1.0 - target))
+
+        # Within 1e-9 the total is MAX_EVIDENCE_TOTAL, not exp(log 1e6).
+        assert solve(0.0).total == solve(5e-10).total == MAX_EVIDENCE_TOTAL
+        assert solve(-1e-10).total == pytest.approx(below, abs=1e-5)
+        with pytest.raises(ConvergenceError, match=r"reaches certainty .* for belief Belief\(b="):
+            solve(2e-9)
 
     @pytest.mark.parametrize("n", [1e-300, 1e-6, 0.37, 1.0, 45.0, 8608.0, 1e6])
     def test_one_sided_certainty_solves_no_crossing(self, monkeypatch, n):

@@ -155,6 +155,19 @@ class TestAccuracyAverage:
         want = 1.0 - math.sqrt(0.25 + 1.0 / 12.0)
         assert accuracy_average(1.0, Evidence(0, 0)) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("r", [1e100, 1e155, 1e300, 1.7e308])
+    def test_huge_report_scores_its_mean(self, r):
+        # The mean, within 1/n of r/(r + s); the variance is below 1e-100.
+        assert accuracy_average(0.5, Evidence(r, r)) == 1.0
+        assert accuracy_average(0.25, Evidence(r / 3, r)) == 1.0
+        assert accuracy_average(1.0, Evidence(r, r)) == 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.7976931348623157e308),
+           st.floats(0.0, 1.7976931348623157e308))
+    def test_every_finite_report_has_an_accuracy(self, alpha, r, s):
+        assert 0.0 <= accuracy_average(alpha, Evidence(r, s)) <= 1.0
+
 
 class TestAccuracyAverageIntegralOracle:
     @pytest.mark.parametrize(
