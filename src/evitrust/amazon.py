@@ -4,20 +4,20 @@ Ratings in {1..5} normalize to v = (rating−1)/4 and count as ten
 transactions' worth of evidence, ⟨10v, 10(1−v)⟩, so a 5 becomes ⟨10, 0⟩ and
 a 2 becomes ⟨2.5, 7.5⟩.  Each feedback is predicted from its predecessors by
 the expected quality of the evidence carried before it, under one of three
-predictors, which are the history modes of :mod:`evitrust.simulation`:
+predictors, which are the history modes (``simulation.HistoryMode``):
 
-* Unweighted is Amazon: all evidence is kept, so the prediction is the plain
-  mean of past normalized ratings.
-* GeometricWeights(λ) is FixedBeta(1−λ): the carried evidence is discounted
-  by λ per feedback, so the prediction is the mean with weights λ^age, the
-  oldest feedback carrying the highest power of λ.
-* TrustInHistory threads the evidence stream through the self-tuning history
-  update.
+* Unweighted is ``AMAZON``: all evidence is kept, so the prediction is the
+  plain mean of past normalized ratings.
+* GeometricWeights(λ) is ``FIXED_BETA`` at retention λ: the carried evidence
+  is discounted by λ per feedback, so the prediction is the mean with
+  weights λ^age, the oldest feedback carrying the highest power of λ.
+* TrustInHistory is ``TRUST_IN_HISTORY``: it threads the evidence stream
+  through the self-tuning history update.
 
-All three run through the one fold, :func:`evitrust.updates._fold`, with
-O(1) state, so the experiment scores each seller under each predictor in one
-O(n) pass.  Prediction errors are reported on the normalized scale (multiply
-by 4 for the 1-to-5 scale).
+The experiment scores each seller under every predictor with one call of
+the history experiment's grid fold, ``simulation._grid_errors``: one O(n)
+pass of the fold per predictor, with O(1) state.  Prediction errors are
+reported on the normalized scale (multiply by 4 for the 1-to-5 scale).
 """
 
 from __future__ import annotations
@@ -25,17 +25,17 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Evidence, _quality
 from .errors import FeedbackFormatError
-from .simulation import BehaviorProfile, Probability, _streams, behavior_sequence
+from .simulation import (
+    BehaviorProfile, HistoryMode, Probability, _grid_errors, _keep, _streams, behavior_sequence,
+)
 from .updates import _NO_HISTORY, _fold
 
 __all__ = [
     "FeedbackRecord",
-    "AmazonMode",
     "AmazonConfig",
     "rating_to_evidence",
     "normalize_rating",
@@ -63,20 +63,16 @@ class FeedbackRecord:
             raise ValueError(f"rating must be an integer in 1..5, got {self.rating}")
 
 
-class AmazonMode(str, Enum):
-    UNWEIGHTED = "Unweighted"
-    GEOMETRIC = "GeometricWeights"
-    TRUST_IN_HISTORY = "TrustInHistory"
-
-
 @dataclass(frozen=True)
 class AmazonConfig:
-    """Predictor selection; ``lambda_`` is the geometric retention weight."""
+    """Predictor selection by history mode; ``lambda_`` is the retention
+    weight of GeometricWeights (``FIXED_BETA``), read in that mode only."""
 
-    mode: AmazonMode = AmazonMode.TRUST_IN_HISTORY
+    mode: HistoryMode = HistoryMode.TRUST_IN_HISTORY
     lambda_: float = 0.9
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", HistoryMode(self.mode))
         if not (0.0 <= self.lambda_ <= 1.0):
             raise ValueError(f"lambda_ must be in [0, 1], got {self.lambda_}")
 
@@ -160,15 +156,6 @@ def load_feedback_csv(path: str) -> List[FeedbackRecord]:
     return parse_feedback_csv(text)
 
 
-def _keep(config: AmazonConfig) -> Optional[float]:
-    """The retention of a predictor: 1 for Unweighted, λ for GeometricWeights,
-    None for TrustInHistory (:func:`~evitrust.updates.history_update` sets it)."""
-    mode = AmazonMode(config.mode)
-    if mode is AmazonMode.TRUST_IN_HISTORY:
-        return None
-    return 1.0 if mode is AmazonMode.UNWEIGHTED else config.lambda_
-
-
 def predict_feedback(history: Sequence[float], config: AmazonConfig) -> float:
     """Predict the next normalized feedback from past normalized feedbacks.
 
@@ -179,9 +166,9 @@ def predict_feedback(history: Sequence[float], config: AmazonConfig) -> float:
     evidence's expected quality (0.5 for an empty history).  The mean modes
     raise ValueError on an empty history.
     """
-    keep = _keep(config)
+    keep = _keep(config.mode, config.lambda_)
     if keep is not None and not history:
-        raise ValueError(f"{AmazonMode(config.mode).value} prediction requires a non-empty history")
+        raise ValueError("Unweighted and GeometricWeights predictions require a non-empty history")
     for v in history:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"normalized feedback must be in [0, 1], got {v!r}")
@@ -193,7 +180,7 @@ class SellerModeError:
     """Mean absolute prediction error for one seller under one predictor."""
 
     seller_id: str
-    mode: AmazonMode
+    mode: HistoryMode
     lambda_: Optional[float]
     error: float
 
@@ -208,10 +195,11 @@ def run_amazon_experiment(
 ) -> List[SellerModeError]:
     """Predict every feedback from its predecessors, per seller and config.
 
-    Each (seller, config) takes one O(n) pass of the history fold with O(1)
-    state: predict the next feedback, add the gap to the running total, then
-    observe the feedback.  The first feedback of a seller has no
-    predecessors: it is not scored, and the fold starts from it.
+    Each seller's configs take one grid fold, as the history experiment's
+    β grid does: per config, one O(n) pass of the history fold with O(1)
+    state that predicts the next feedback, adds the gap to the running
+    total, then observes the feedback.  The first feedback of a seller has
+    no predecessors: it is not scored, and the folds start from it.
     Sellers with fewer than two feedbacks cannot be scored and are skipped
     entirely.  Returns one row per (seller, config), sellers in
     first-appearance order.
@@ -220,22 +208,20 @@ def run_amazon_experiment(
     for rec in records:
         by_seller.setdefault(rec.seller_id, []).append(rec)
 
+    keeps = tuple(_keep(config.mode, config.lambda_) for config in configs)
     results: List[SellerModeError] = []
     for seller, feedback in by_seller.items():
         if len(feedback) < 2:
             continue
         first, *rest = feedback
-        values = [normalize_rating(rec.rating) for rec in rest]
-        evidence = [_RATING_EVIDENCE[rec.rating] for rec in rest]
-        # The first feedback has no predecessors: each fold starts from it.
+        # The first feedback has no predecessors: the folds start from it.
         # (Folding it in from nothing gives the same state: an empty history
         # has certainty 0, so the history trust does not move.)
         start = _RATING_EVIDENCE[first.rating] + _NO_HISTORY[2:]
-        for config in configs:
-            gap = _fold(evidence, values, _keep(config), start)[0]
-            mode = AmazonMode(config.mode)
-            lam = config.lambda_ if mode is AmazonMode.GEOMETRIC else None
-            results.append(SellerModeError(seller, mode, lam, gap / len(values)))
+        errors = _grid_errors(tuple(_RATING_EVIDENCE[rec.rating] for rec in rest), keeps, start)
+        for config, error in zip(configs, errors):
+            lam = config.lambda_ if config.mode is HistoryMode.FIXED_BETA else None
+            results.append(SellerModeError(seller, config.mode, lam, error))
     return results
 
 

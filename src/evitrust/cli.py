@@ -30,14 +30,8 @@ from dataclasses import fields
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple, Type, Union, get_args
 
-from .amazon import (
-    AmazonConfig,
-    AmazonMode,
-    load_feedback_csv,
-    parse_feedback_csv,
-    run_amazon_experiment,
-)
-from .core import Evidence, _quality, certainty, expected_quality
+from .amazon import AmazonConfig, load_feedback_csv, parse_feedback_csv, run_amazon_experiment
+from .core import Evidence, certainty, expected_quality
 from .errors import ConvergenceError, FeedbackFormatError
 from .simulation import (
     _MAX_SEED,
@@ -60,9 +54,10 @@ from .simulation import (
 from .updates import (
     UpdateConfig,
     UpdateMethod,
-    _peak_ratio,
     accuracy_average,
     accuracy_linear,
+    accuracy_max_certainty,
+    accuracy_sensitivity,
     update_referrer,
 )
 
@@ -92,21 +87,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _peak_ratio_at(density: Evidence, point: Evidence, empty: str) -> float:
-    """The peak ratio of ``density`` at the quality of ``point``, whose
-    complement comes from the counts, as in the update methods."""
-    if density.total <= 0:
-        raise ValueError(empty)
-    return _peak_ratio(density.r, density.s, _quality(point.r, point.s), _quality(point.s, point.r))
-
-
 # Each accuracy measure as q(observed, report).
 _ACCURACY_MEASURES = {
     "linear": lambda obs, rep: accuracy_linear(expected_quality(obs), expected_quality(rep)),
-    "maxcertainty": lambda obs, rep: _peak_ratio_at(
-        obs, rep, "accuracy_max_certainty requires observed evidence with positive total"),
-    "sensitivity": lambda obs, rep: _peak_ratio_at(
-        rep, obs, "accuracy_sensitivity requires a report with positive total"),
+    "maxcertainty": accuracy_max_certainty,
+    "sensitivity": accuracy_sensitivity,
     "average": lambda obs, rep: accuracy_average(expected_quality(obs), rep),
 }
 _ACCURACY_MEASURES["max-certainty"] = _ACCURACY_MEASURES["maxcertainty"]
@@ -469,17 +454,23 @@ def _bundled_sample_text() -> str:
     return resources.files("evitrust").joinpath("data/amazon_sample.csv").read_text("utf-8")
 
 
+# The paper's name of each history mode as a feedback predictor.
+_PREDICTORS = {HistoryMode.AMAZON: "Unweighted", HistoryMode.FIXED_BETA: "GeometricWeights",
+               HistoryMode.TRUST_IN_HISTORY: "TrustInHistory"}
+
+
 def _cmd_amazon(args) -> str:
     if args.input:
         records = load_feedback_csv(args.input)
     else:
         records = parse_feedback_csv(_bundled_sample_text())
-    configs = [AmazonConfig(mode=AmazonMode.UNWEIGHTED)]
-    configs += [AmazonConfig(mode=AmazonMode.GEOMETRIC, lambda_=lam) for lam in args.lambda_grid]
-    configs.append(AmazonConfig(mode=AmazonMode.TRUST_IN_HISTORY))
+    configs = [AmazonConfig(mode=HistoryMode.AMAZON)]
+    configs += [AmazonConfig(mode=HistoryMode.FIXED_BETA, lambda_=lam) for lam in args.lambda_grid]
+    configs.append(AmazonConfig(mode=HistoryMode.TRUST_IN_HISTORY))
     results = run_amazon_experiment(records, configs)
     header = ["seller_id", "mode", "lambda", "error", "error_1to5"]
-    rows = [[r.seller_id, r.mode.value, r.lambda_, r.error, r.error_scale5] for r in results]
+    rows = [[r.seller_id, _PREDICTORS[r.mode], r.lambda_, r.error, r.error_scale5]
+            for r in results]
     return _table(header, rows, args.format)
 
 

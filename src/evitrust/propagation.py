@@ -40,14 +40,28 @@ def concatenate(m_r: Belief, m_s: Belief) -> Belief:
     passes the report through unchanged; zero belief yields total
     uncertainty.
     """
-    b = m_r.b * m_s.b
-    d = m_r.b * m_s.d
-    return Belief(b, d, 1.0 - b - d)
+    return Belief(*_concatenate(m_r.b, m_s.b, m_s.d))
+
+
+def _concatenate(b_r: float, b: float, d: float) -> Tuple[float, float, float]:
+    """:func:`concatenate` of plain masses: a report's belief b and
+    disbelief d discounted by the belief mass b_R in its referrer."""
+    b, d = b_r * b, b_r * d
+    return b, d, 1.0 - b - d
 
 
 def aggregate(e1: Evidence, e2: Evidence) -> Evidence:
     """Sum independent evidence componentwise: associative and commutative."""
-    return Evidence(e1.r + e2.r, e1.s + e2.s)
+    return Evidence(*_aggregate(((e1.r, e1.s), (e2.r, e2.s))))
+
+
+def _aggregate(evidence: Iterable[Tuple[float, float]]) -> Tuple[float, float]:
+    """:func:`aggregate` of plain counts (r, s), summed left to right."""
+    r = s = 0.0
+    for path_r, path_s in evidence:
+        r += path_r
+        s += path_s
+    return r, s
 
 
 def combine_referrals(paths: Iterable[ReferralPath]) -> Evidence:
@@ -67,11 +81,5 @@ def combine_referrals(paths: Iterable[ReferralPath]) -> Evidence:
 def _combine(paths: Iterable[Tuple[float, float, float]]) -> Tuple[float, float]:
     """:func:`combine_referrals` of paths given as (b_R, r′, s′): the client's
     belief mass in the referrer and the report's counts."""
-    r = s = 0.0
-    for b_r, r_report, s_report in paths:
-        b, d, _ = _belief(r_report, s_report)
-        b, d = b_r * b, b_r * d  # concatenation
-        path_r, path_s = _from_belief(b, d, 1.0 - b - d)
-        r += path_r
-        s += path_s
-    return r, s
+    return _aggregate(_from_belief(*_concatenate(b_r, *_belief(r_report, s_report)[:2]))
+                      for b_r, r_report, s_report in paths)

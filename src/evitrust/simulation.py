@@ -568,12 +568,15 @@ def _history_observations(
     return _transactions(xs, config.tx_per_step, rng_tx)
 
 
-def _keep(mode: HistoryMode, beta: float) -> Optional[float]:
-    """The retention of a history mode: 1 for Amazon, 1 − β for FixedBeta,
-    None for TrustInHistory (the history update sets it each step)."""
+def _keep(mode: HistoryMode, retention: float) -> Optional[float]:
+    """The retention of a history mode, which the history experiment and the
+    feedback predictors share: 1 for Amazon, ``retention`` for FixedBeta, None
+    for TrustInHistory (the history update sets it each step).  FixedBeta's
+    retention enters as given: 1 − β here, and λ itself for GeometricWeights
+    (in floats, 1 − (1 − λ) need not be λ)."""
     if mode is HistoryMode.TRUST_IN_HISTORY:
         return None
-    return 1.0 if mode is HistoryMode.AMAZON else 1.0 - beta
+    return 1.0 if mode is HistoryMode.AMAZON else retention
 
 
 def run_history_experiment(
@@ -600,7 +603,7 @@ def run_history_experiment(
     :func:`history_errors` folds them all over one draw.
     """
     mode = HistoryMode(mode)
-    keep = _keep(mode, config.beta)
+    keep = _keep(mode, 1.0 - config.beta)
     state = _NO_HISTORY
     records: List[TimestepRecord] = []
     for t, obs in enumerate(_history_observations(config, profile), 1):
@@ -641,21 +644,24 @@ def history_errors(
             raise ValueError(f"beta must be in [0, 1], got {b}")
     observed = tuple(_history_observations(config, profile))
     if mode is HistoryMode.FIXED_BETA:
-        return list(_grid_errors(observed, tuple(1.0 - b for b in betas)))
-    return list(_grid_errors(observed, (_keep(mode, config.beta),))) * len(betas)
+        return list(_grid_errors(observed, tuple(1.0 - b for b in betas), _NO_HISTORY))
+    keep = _keep(mode, 1.0 - config.beta)
+    return list(_grid_errors(observed, (keep,), _NO_HISTORY)) * len(betas)
 
 
 @functools.lru_cache(maxsize=1)
 def _grid_errors(
-    observed: Tuple[Tuple[float, float], ...], keeps: Tuple[Optional[float], ...]
+    observed: Tuple[Tuple[float, float], ...], keeps: Tuple[Optional[float], ...],
+    start: Tuple[float, float, float, float],
 ) -> Tuple[float, ...]:
-    """The prediction error of a history fold over ``observed`` at each
-    retention in ``keeps``.
+    """The prediction error of a history fold over ``observed`` from the
+    state ``start`` at each retention in ``keeps``: the history experiment's
+    and the feedback predictors' one grid fold.
 
-    The one cache entry holds the last stream after :func:`history_errors`
-    returns, about 110 bytes per step: some 110 MB at the CLI's largest
-    ``--timesteps`` (10⁶).  ``_grid_errors.cache_clear()`` releases it.
-    Each call hashes the whole stream, and a hit compares it pair by pair.
+    The one cache entry holds the last stream after the call returns, about
+    110 bytes per step: some 110 MB at the CLI's largest ``--timesteps``
+    (10⁶).  ``_grid_errors.cache_clear()`` releases it.  Each call hashes
+    the whole stream, and a hit compares it pair by pair.
     """
     alphas = [_quality(k, m) for k, m in observed]
-    return tuple(_fold(observed, alphas, keep)[0] / len(observed) for keep in keeps)
+    return tuple(_fold(observed, alphas, keep, start)[0] / len(observed) for keep in keeps)

@@ -122,12 +122,18 @@ def general_update(q: float, p: float, beta: float, c_prime: float, prior: Evide
     q and p are the good/bad shares of the estimate and must sum to 1.
     """
     for name, v in (("q", q), ("p", p), ("beta", beta), ("c_prime", c_prime)):
-        if not (0.0 <= v <= 1.0):
-            raise ValueError(f"{name} must be in [0, 1], got {v}")
+        _check_unit(name, v)
     if abs(q + p - 1.0) > 1e-9:
         raise ValueError(f"q + p must equal 1, got {q + p}")
+    return Evidence(*_general_update(q, p, beta, c_prime, prior.r, prior.s))
+
+
+def _general_update(
+    q: float, p: float, beta: float, c_prime: float, r: float, s: float
+) -> Tuple[float, float]:
+    """:func:`general_update` of a prior of plain counts ⟨r, s⟩, unchecked."""
     retain = 1.0 - beta
-    return Evidence(c_prime * q + retain * prior.r, c_prime * p + retain * prior.s)
+    return c_prime * q + retain * r, c_prime * p + retain * s
 
 
 def _check_unit(name: str, v: float) -> float:
@@ -138,58 +144,67 @@ def _check_unit(name: str, v: float) -> float:
 
 def accuracy_linear(alpha: float, alpha_prime: float) -> float:
     """q = 1 − |α − α′|."""
-    _check_unit("alpha", alpha)
-    _check_unit("alpha_prime", alpha_prime)
+    return _linear_accuracy(_check_unit("alpha", alpha), _check_unit("alpha_prime", alpha_prime))
+
+
+def _linear_accuracy(alpha: float, alpha_prime: float) -> float:
+    """:func:`accuracy_linear`, unchecked."""
     return 1.0 - abs(alpha - alpha_prime)
 
 
-def accuracy_max_certainty(observed: Evidence, alpha_prime: float) -> float:
-    """q = f(α′)/f(α) for the observed evidence density (peak-normalized).
+def accuracy_max_certainty(observed: Evidence, report: Evidence) -> float:
+    """q = f(α′)/f(α) for the observed evidence density (peak-normalized),
+    with α′ the report's expected quality.
 
     The ratio of how likely the reported quality α′ is under the client's own
     observations to how likely the most likely quality α is.  Requires
     observed total > 0 (with no observations there is no density to ask).
     """
-    _check_unit("alpha_prime", alpha_prime)
     if observed.total <= 0:
         raise ValueError("accuracy_max_certainty requires observed evidence with positive total")
-    return _peak_ratio(observed.r, observed.s, alpha_prime, 1.0 - alpha_prime)
+    return _peak_ratio(observed.r, observed.s, report.r, report.s)
 
 
-def accuracy_sensitivity(alpha: float, report: Evidence) -> float:
-    """q = l(α)/l(α′) for the report's density l (peak-normalized).
+def accuracy_sensitivity(observed: Evidence, report: Evidence) -> float:
+    """q = l(α)/l(α′) for the report's density l (peak-normalized), with α
+    the observation's expected quality.
 
     How likely, in the reporter's own assessment, the actually observed
     quality α would be.  Requires report total > 0.
     """
-    _check_unit("alpha", alpha)
     if report.total <= 0:
         raise ValueError("accuracy_sensitivity requires a report with positive total")
-    return _peak_ratio(report.r, report.s, alpha, 1.0 - alpha)
+    return _peak_ratio(report.r, report.s, observed.r, observed.s)
 
 
-def _peak_ratio(r: float, s: float, x: float, y: float) -> float:
+def _peak_ratio(r: float, s: float, rp: float, sp: float) -> float:
     """f(x)/f(α) for the density f of ⟨r, s⟩, which peaks at α = r/(r+s),
-    with 0·log 0 := 0.
+    at the quality x of the point ⟨r′, s′⟩, with 0·log 0 := 0.
 
-    y is 1 − x, given apart: from counts ⟨r′, s′⟩ it is s′/(r′+s′), which
-    keeps its digits when x rounds to 1.  A peak that rounds to 0 or 1 takes
-    its logs from the counts, so that near-one-sided evidence neither scores
-    a far point as 1 nor the peak itself as nan.  A total that overflows has
-    no peak to divide by: it is a ValueError.
+    Both x and α take their logs from :func:`_log_shares`, from the counts
+    where they round to 0 or 1, so that near-one-sided evidence neither
+    scores a far point as 1 nor its own peak as 0 or nan.  A total ⟨r, s⟩
+    that overflows has no peak to divide by: it is a ValueError.
     """
     if r + s == math.inf:
         raise ValueError(f"the evidence total overflows: r={r!r}, s={s!r}")
-    peak = _quality(r, s)
-    log_q = 0.0
-    if r > 0.0:
-        log_q += r * (math.log(x) if x > 0.0 else -math.inf)
-        log_q -= r * (math.log(peak) if peak > 0.0 else math.log(r) - math.log(r + s))
+    (log_x, log_1mx), (log_peak, log_1mpeak) = _log_shares(rp, sp), _log_shares(r, s)
+    log_q = r * log_x - r * log_peak if r > 0.0 else 0.0
     if s > 0.0:
-        log_q += s * (math.log1p(-x) if x < 1.0 else math.log(y) if y > 0.0 else -math.inf)
-        log_q -= s * (math.log1p(-peak) if peak < 1.0 else math.log(s) - math.log(r + s))
+        log_q = log_q + s * log_1mx - s * log_1mpeak
     # The density peaks at α, so log_q <= 0 up to rounding noise.
     return math.exp(min(log_q, 0.0))
+
+
+def _log_shares(a: float, b: float) -> Tuple[float, float]:
+    """log x and log(1 − x) for the quality x = a/(a+b) of counts ⟨a, b⟩,
+    with log 0 = −inf.  Where x rounds to 0 or 1, the share that rounds to 0
+    takes its log from the counts, as log a − log(a+b) or log b − log(a+b)."""
+    x = _quality(a, b)
+    log_x = math.log(x) if x > 0.0 else math.log(a) - math.log(a + b) if a > 0.0 else -math.inf
+    log_1mx = (math.log1p(-x) if x < 1.0
+               else math.log(b) - math.log(a + b) if b > 0.0 else -math.inf)
+    return log_x, log_1mx
 
 
 def accuracy_average(alpha: float, report: Evidence) -> float:
@@ -248,24 +263,23 @@ def _update(
     prior_r: float, prior_s: float,
 ) -> Tuple[float, float]:
     """The one trust update, on plain floats: the trust ⟨prior_r, prior_s⟩ in
-    a source that reported ⟨rp, sp⟩ when ⟨r, s⟩ was observed, moved by
-    c′·q + (1−β)·prior_r and c′·(1−q) + (1−β)·prior_s, with q and c′ as the
-    module docstring's table gives them for ``method``.  It checks nothing:
-    :func:`update_referrer` is its checked form."""
+    a source that reported ⟨rp, sp⟩ when ⟨r, s⟩ was observed, moved by the
+    generic update with q and c′ as the module docstring's table gives them
+    for ``method``.  It checks nothing: :func:`update_referrer` is its
+    checked form."""
     alpha = _quality(r, s)
     if method is UpdateMethod.AVERAGE_BETA:
         q, c_prime = _average_accuracy(alpha, rp, sp), _certainty(r, s) * _certainty(rp, sp)
     elif method is UpdateMethod.LINEAR_WS:
-        q, c_prime = 1.0 - abs(alpha - _quality(rp, sp)), _certainty(rp, sp)
+        q, c_prime = _linear_accuracy(alpha, _quality(rp, sp)), _certainty(rp, sp)
     elif method is UpdateMethod.JOSANG:
-        q = 1.0 - abs((r + 1.0) / (r + s + 2.0) - (rp + 1.0) / (rp + sp + 2.0))
+        q = _linear_accuracy((r + 1.0) / (r + s + 2.0), (rp + 1.0) / (rp + sp + 2.0))
         c_prime = (rp + sp) / (rp + sp + 2.0)
     elif method is UpdateMethod.MAX_CERTAINTY:
-        q, c_prime = _peak_ratio(r, s, _quality(rp, sp), _quality(sp, rp)), _certainty(rp, sp)
+        q, c_prime = _peak_ratio(r, s, rp, sp), _certainty(rp, sp)
     else:  # Sensitivity
-        q, c_prime = _peak_ratio(rp, sp, alpha, _quality(s, r)), _certainty(rp, sp)
-    retain = 1.0 - beta
-    return c_prime * q + retain * prior_r, c_prime * (1.0 - q) + retain * prior_s
+        q, c_prime = _peak_ratio(rp, sp, r, s), _certainty(rp, sp)
+    return _general_update(q, 1.0 - q, beta, c_prime, prior_r, prior_s)
 
 
 def history_update(state: HistoryState, observed: Evidence) -> HistoryUpdate:

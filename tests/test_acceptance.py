@@ -84,8 +84,8 @@ def test_criterion_02_accuracy_golden_table():
         obs, rep = Evidence(ro, so), Evidence(rp, sp)
         alpha, alpha_p = expected_quality(obs), expected_quality(rep)
         got = {
-            "max-certainty": (accuracy_max_certainty(obs, alpha_p), g_mc),
-            "sensitivity": (accuracy_sensitivity(alpha, rep), g_se),
+            "max-certainty": (accuracy_max_certainty(obs, rep), g_mc),
+            "sensitivity": (accuracy_sensitivity(obs, rep), g_se),
             "linear": (accuracy_linear(alpha, alpha_p), g_li),
             "average": (accuracy_average(alpha, rep), g_av),
         }
@@ -184,8 +184,8 @@ def test_criterion_05a_boundedness():
         alpha, alpha_p = expected_quality(obs), expected_quality(rep)
         qs = (
             accuracy_linear(alpha, alpha_p),
-            accuracy_max_certainty(obs, alpha_p),
-            accuracy_sensitivity(alpha, rep),
+            accuracy_max_certainty(obs, rep),
+            accuracy_sensitivity(obs, rep),
             accuracy_average(alpha, rep),
         )
         bad += sum(not (0.0 <= q <= 1.0) for q in qs)
@@ -221,8 +221,8 @@ def test_criterion_05b_monotonicity():
                 [fn(x) for x in reversed(above)]
             )
 
-        failures += not check(lambda x: accuracy_max_certainty(fixed, x), peak_rep)
-        failures += not check(lambda x: accuracy_sensitivity(x, fixed), peak_rep)
+        failures += not check(lambda x: accuracy_max_certainty(fixed, Evidence(x, 1 - x)), peak_rep)
+        failures += not check(lambda x: accuracy_sensitivity(Evidence(x, 1 - x), fixed), peak_rep)
         failures += not check(lambda x: accuracy_linear(x, peak_rep), peak_rep)
         failures += not check(lambda x: accuracy_average(x, fixed), mean_rep)
     assert report("5b", failures == 0, f"{failures} monotonicity violations over 400 grids")
@@ -234,8 +234,8 @@ def test_criterion_05b_monotonicity():
 
 
 def test_criterion_06_asymptotics():
-    q_mc = accuracy_max_certainty(Evidence(6000, 4000), 0.5)
-    q_se = accuracy_sensitivity(0.6, Evidence(5000, 5000))
+    q_mc = accuracy_max_certainty(Evidence(6000, 4000), Evidence(1, 1))
+    q_se = accuracy_sensitivity(Evidence(3, 2), Evidence(5000, 5000))
     q_av_200 = accuracy_average(0.6, Evidence(100, 100))
     q_av_100k = accuracy_average(0.6, Evidence(50_000, 50_000))
     ok = (
@@ -362,7 +362,6 @@ def test_criterion_08c_certainty_reflects_dynamism():
 def test_criterion_09_feedback_pipeline():
     from evitrust.amazon import (
         AmazonConfig,
-        AmazonMode,
         normalize_rating,
         predict_feedback,
         run_amazon_experiment,
@@ -370,10 +369,10 @@ def test_criterion_09_feedback_pipeline():
     )
 
     history = [normalize_rating(r) for r in (3, 1, 2, 4)]
-    mean_pred = 1 + 4 * predict_feedback(history, AmazonConfig(mode=AmazonMode.UNWEIGHTED))
+    mean_pred = 1 + 4 * predict_feedback(history, AmazonConfig(mode=HistoryMode.AMAZON))
     mean_err = abs(mean_pred - 3.0)
     geo_pred = 1 + 4 * predict_feedback(
-        history, AmazonConfig(mode=AmazonMode.GEOMETRIC, lambda_=0.9)
+        history, AmazonConfig(mode=HistoryMode.FIXED_BETA, lambda_=0.9)
     )
     ok_worked = (
         abs(mean_pred - 2.50) < 1e-9
@@ -383,13 +382,13 @@ def test_criterion_09_feedback_pipeline():
 
     records = synthesize_feedback(sellers=5, feedbacks_per_seller=80, seed=42)
     grid = [round(l, 2) for l in np.arange(0.0, 1.0001, 0.05)]
-    configs = [AmazonConfig(mode=AmazonMode.GEOMETRIC, lambda_=l) for l in grid]
-    configs.append(AmazonConfig(mode=AmazonMode.TRUST_IN_HISTORY))
+    configs = [AmazonConfig(mode=HistoryMode.FIXED_BETA, lambda_=l) for l in grid]
+    configs.append(AmazonConfig(mode=HistoryMode.TRUST_IN_HISTORY))
     rows = run_amazon_experiment(records, configs)
     geo_errors = {}
     tih_errors = []
     for row in rows:
-        if row.mode is AmazonMode.GEOMETRIC:
+        if row.mode is HistoryMode.FIXED_BETA:
             geo_errors.setdefault(row.lambda_, []).append(row.error)
         else:
             tih_errors.append(row.error)

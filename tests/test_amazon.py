@@ -1,10 +1,9 @@
 import pytest
 
-from evitrust.core import expected_quality
+from evitrust.core import Evidence, expected_quality
 from evitrust.updates import HistoryState, history_update
 from evitrust.amazon import (
     AmazonConfig,
-    AmazonMode,
     FeedbackRecord,
     load_feedback_csv,
     normalize_rating,
@@ -15,7 +14,11 @@ from evitrust.amazon import (
     synthesize_feedback,
 )
 from evitrust.errors import FeedbackFormatError
+from evitrust.cli import _PREDICTORS
+from evitrust import simulation
 from evitrust.simulation import (
+    ExperimentConfig,
+    HistoryMode,
     Momentum,
     Periodic,
     Probability,
@@ -23,6 +26,7 @@ from evitrust.simulation import (
     RandomWalk,
     _streams,
     behavior_sequence,
+    history_errors,
 )
 
 
@@ -98,33 +102,34 @@ class TestPredictFeedback:
     HISTORY = [normalize_rating(r) for r in (3, 1, 2, 4)]
 
     def test_unweighted_mean(self):
-        pred = predict_feedback(self.HISTORY, AmazonConfig(mode=AmazonMode.UNWEIGHTED))
+        pred = predict_feedback(self.HISTORY, AmazonConfig(mode=HistoryMode.AMAZON))
         assert 1 + 4 * pred == pytest.approx(2.50)
 
     def test_geometric_oldest_gets_highest_power(self):
         pred = predict_feedback(
-            self.HISTORY, AmazonConfig(mode=AmazonMode.GEOMETRIC, lambda_=0.9)
+            self.HISTORY, AmazonConfig(mode=HistoryMode.FIXED_BETA, lambda_=0.9)
         )
         assert 1 + 4 * pred == pytest.approx(2.56, abs=0.005)
 
     def test_single_feedback_any_mode(self):
-        for mode in (AmazonMode.UNWEIGHTED, AmazonMode.GEOMETRIC, AmazonMode.TRUST_IN_HISTORY):
+        for mode in (HistoryMode.AMAZON, HistoryMode.FIXED_BETA, HistoryMode.TRUST_IN_HISTORY):
             pred = predict_feedback([1.0], AmazonConfig(mode=mode, lambda_=0.7))
             assert 1 + 4 * pred == pytest.approx(5.0, abs=1e-9)
 
     def test_geometric_lambda_zero_keeps_newest(self):
-        pred = predict_feedback(self.HISTORY, AmazonConfig(mode=AmazonMode.GEOMETRIC, lambda_=0.0))
+        pred = predict_feedback(self.HISTORY,
+                                AmazonConfig(mode=HistoryMode.FIXED_BETA, lambda_=0.0))
         assert pred == pytest.approx(self.HISTORY[-1])
 
     def test_mean_modes_need_history(self):
         with pytest.raises(ValueError):
-            predict_feedback([], AmazonConfig(mode=AmazonMode.UNWEIGHTED))
+            predict_feedback([], AmazonConfig(mode=HistoryMode.AMAZON))
 
     def test_trust_in_history_empty_history_is_half(self):
-        pred = predict_feedback([], AmazonConfig(mode=AmazonMode.TRUST_IN_HISTORY))
+        pred = predict_feedback([], AmazonConfig(mode=HistoryMode.TRUST_IN_HISTORY))
         assert pred == 0.5
 
-    @pytest.mark.parametrize("mode", list(AmazonMode))
+    @pytest.mark.parametrize("mode", list(HistoryMode), ids=_PREDICTORS.get)
     @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan"), float("inf")])
     def test_feedback_outside_unit_interval_is_value_error(self, mode, bad):
         with pytest.raises(ValueError):
@@ -138,9 +143,9 @@ class TestRunAmazonExperiment:
     def test_constant_seller_has_zero_error(self):
         records = self.seller([4, 4, 4, 4, 4])
         configs = [
-            AmazonConfig(mode=AmazonMode.UNWEIGHTED),
-            AmazonConfig(mode=AmazonMode.GEOMETRIC, lambda_=0.5),
-            AmazonConfig(mode=AmazonMode.TRUST_IN_HISTORY),
+            AmazonConfig(mode=HistoryMode.AMAZON),
+            AmazonConfig(mode=HistoryMode.FIXED_BETA, lambda_=0.5),
+            AmazonConfig(mode=HistoryMode.TRUST_IN_HISTORY),
         ]
         for row in run_amazon_experiment(records, configs):
             assert row.error == pytest.approx(0.0, abs=1e-9)
@@ -148,7 +153,7 @@ class TestRunAmazonExperiment:
     def test_worked_example_mean_error(self):
         # ratings 3,1,2,4,3: unweighted gaps are 0.5, 0, 0.5, 0.125 normalized
         records = self.seller([3, 1, 2, 4, 3])
-        rows = run_amazon_experiment(records, [AmazonConfig(mode=AmazonMode.UNWEIGHTED)])
+        rows = run_amazon_experiment(records, [AmazonConfig(mode=HistoryMode.AMAZON)])
         assert rows[0].error == pytest.approx((0.5 + 0.0 + 0.5 + 0.125) / 4)
         assert rows[0].error_scale5 == pytest.approx(4 * rows[0].error)
 
@@ -156,30 +161,30 @@ class TestRunAmazonExperiment:
         # the 5th feedback (3) predicted from 3,1,2,4: error 0.50 on 1-5
         records = self.seller([3, 1, 2, 4, 3])
         four = run_amazon_experiment(
-            self.seller([3, 1, 2, 4]), [AmazonConfig(mode=AmazonMode.UNWEIGHTED)]
+            self.seller([3, 1, 2, 4]), [AmazonConfig(mode=HistoryMode.AMAZON)]
         )[0].error
-        five = run_amazon_experiment(records, [AmazonConfig(mode=AmazonMode.UNWEIGHTED)])[0].error
+        five = run_amazon_experiment(records, [AmazonConfig(mode=HistoryMode.AMAZON)])[0].error
         # mean over 4 gaps minus mean over 3 gaps isolates the last gap
         last_gap = 4 * five - 3 * four
         assert 4 * last_gap == pytest.approx(0.50)
 
     def test_short_sellers_skipped(self):
         records = self.seller([5], seller="tiny") + self.seller([4, 4, 4], seller="ok")
-        rows = run_amazon_experiment(records, [AmazonConfig(mode=AmazonMode.UNWEIGHTED)])
+        rows = run_amazon_experiment(records, [AmazonConfig(mode=HistoryMode.AMAZON)])
         assert [r.seller_id for r in rows] == ["ok"]
 
     def test_row_order_and_lambda_column(self):
         records = self.seller([3, 4, 5]) + self.seller([2, 2, 2], seller="s2")
         configs = [
-            AmazonConfig(mode=AmazonMode.UNWEIGHTED),
-            AmazonConfig(mode=AmazonMode.GEOMETRIC, lambda_=0.9),
+            AmazonConfig(mode=HistoryMode.AMAZON),
+            AmazonConfig(mode=HistoryMode.FIXED_BETA, lambda_=0.9),
         ]
         rows = run_amazon_experiment(records, configs)
         assert [(r.seller_id, r.mode) for r in rows] == [
-            ("s1", AmazonMode.UNWEIGHTED),
-            ("s1", AmazonMode.GEOMETRIC),
-            ("s2", AmazonMode.UNWEIGHTED),
-            ("s2", AmazonMode.GEOMETRIC),
+            ("s1", HistoryMode.AMAZON),
+            ("s1", HistoryMode.FIXED_BETA),
+            ("s2", HistoryMode.AMAZON),
+            ("s2", HistoryMode.FIXED_BETA),
         ]
         assert rows[0].lambda_ is None
         assert rows[1].lambda_ == 0.9
@@ -187,7 +192,7 @@ class TestRunAmazonExperiment:
 
 def _replay_mean(history, config):
     """Recompute a mean prediction from the whole history: O(n) per step."""
-    if config.mode is AmazonMode.UNWEIGHTED:
+    if config.mode is HistoryMode.AMAZON:
         return sum(history) / len(history)
     n = len(history)
     weights = [config.lambda_ ** (n - 1 - i) for i in range(n)]  # 0.0 ** 0 == 1.0
@@ -208,21 +213,22 @@ def _replay_experiment(records, configs):
             total = 0.0  # summed left to right, as the experiment does
             for i, rating in enumerate(ratings):
                 if i > 0:
-                    if config.mode is AmazonMode.TRUST_IN_HISTORY:
+                    if config.mode is HistoryMode.TRUST_IN_HISTORY:
                         pred = expected_quality(state.carried)
                     else:
                         pred = _replay_mean(values[:i], config)
                     total += abs(pred - values[i])
-                if config.mode is AmazonMode.TRUST_IN_HISTORY:
+                if config.mode is HistoryMode.TRUST_IN_HISTORY:
                     state = history_update(state, rating_to_evidence(rating)).state
             rows.append((seller, config.mode, total / (len(values) - 1)))
     return rows
 
 
 ORACLE_CONFIGS = (
-    [AmazonConfig(mode=AmazonMode.UNWEIGHTED)]
-    + [AmazonConfig(mode=AmazonMode.GEOMETRIC, lambda_=lam) for lam in (0.0, 0.05, 0.5, 0.95, 1.0)]
-    + [AmazonConfig(mode=AmazonMode.TRUST_IN_HISTORY)]
+    [AmazonConfig(mode=HistoryMode.AMAZON)]
+    + [AmazonConfig(mode=HistoryMode.FIXED_BETA, lambda_=lam)
+       for lam in (0.0, 0.05, 0.5, 0.95, 1.0)]
+    + [AmazonConfig(mode=HistoryMode.TRUST_IN_HISTORY)]
 )
 
 
@@ -234,12 +240,13 @@ class TestStreamingMatchesReplay:
         want = _replay_experiment(records, ORACLE_CONFIGS)
         assert [(r.seller_id, r.mode) for r in got] == [w[:2] for w in want]
         for row, (_, mode, error) in zip(got, want):
-            if mode is AmazonMode.GEOMETRIC:
+            if mode is HistoryMode.FIXED_BETA:
                 assert row.error == pytest.approx(error, rel=1e-14, abs=0)
             else:
                 assert row.error == error
 
-    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=lambda c: f"{c.mode.value}-{c.lambda_}")
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS,
+                             ids=lambda c: f"{_PREDICTORS[c.mode]}-{c.lambda_}")
     def test_predict_feedback_equals_experiment_prediction(self, config):
         # A final rating of 1 (normalized 0) makes the last gap equal the
         # prediction, so the experiment's prediction at step i is
@@ -257,10 +264,42 @@ class TestStreamingMatchesReplay:
                 pred -= (i - 1) * seller_error(history)
             values = [normalize_rating(r) for r in history]
             assert predict_feedback(values, config) == pytest.approx(pred, rel=0, abs=1e-12)
-            if config.mode is not AmazonMode.TRUST_IN_HISTORY:
+            if config.mode is not HistoryMode.TRUST_IN_HISTORY:
                 assert predict_feedback(values, config) == pytest.approx(
                     _replay_mean(values, config), rel=0, abs=1e-12
                 )
+
+
+class TestSharedGridFold:
+    @pytest.mark.parametrize("mode", list(HistoryMode), ids=_PREDICTORS.get)
+    def test_memo_key_holds_the_start_state(self, mode):
+        """The feedback predictors and the history experiment share one
+        memoized grid fold: a seller's folds start from its first feedback,
+        a history run's from nothing.  On one evidence stream, in either
+        order, each gives the errors of a call made with the memo cleared."""
+        cfg = ExperimentConfig(timesteps=12, tx_per_step=10, beta=0.25)
+        observed = simulation._history_observations(cfg, Periodic())
+        # Ten transactions at X_t = 0 or 1 observe ⟨0, 10⟩ or ⟨10, 0⟩: a 1 or a 5.
+        ratings = [5] + [5 if k else 1 for k, _ in observed]
+        assert [rating_to_evidence(r) for r in ratings[1:]] == [Evidence(*o) for o in observed]
+        records = [FeedbackRecord("s", t, rating) for t, rating in enumerate(ratings, start=1)]
+        configs = [AmazonConfig(mode, lambda_=1.0 - cfg.beta)]
+
+        def history():
+            return history_errors(cfg, Periodic(), mode, [cfg.beta])
+
+        def feedback():
+            return [row.error for row in run_amazon_experiment(records, configs)]
+
+        want = {}
+        for run in (history, feedback):
+            simulation._grid_errors.cache_clear()
+            want[run] = run()
+        assert want[history] != want[feedback]
+        for order in ((history, feedback), (feedback, history)):
+            simulation._grid_errors.cache_clear()
+            for run in order:
+                assert run() == want[run]
 
 
 class TestSynthesizeFeedback:

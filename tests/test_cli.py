@@ -82,9 +82,9 @@ class TestAccuracyCommand:
     @pytest.mark.parametrize("name,want", [
         ("linear", accuracy_linear(expected_quality(Evidence(3, 1)),
                                    expected_quality(Evidence(2, 2)))),
-        ("maxcertainty", accuracy_max_certainty(Evidence(3, 1), expected_quality(Evidence(2, 2)))),
-        ("max-certainty", accuracy_max_certainty(Evidence(3, 1), expected_quality(Evidence(2, 2)))),
-        ("sensitivity", accuracy_sensitivity(expected_quality(Evidence(3, 1)), Evidence(2, 2))),
+        ("maxcertainty", accuracy_max_certainty(Evidence(3, 1), Evidence(2, 2))),
+        ("max-certainty", accuracy_max_certainty(Evidence(3, 1), Evidence(2, 2))),
+        ("sensitivity", accuracy_sensitivity(Evidence(3, 1), Evidence(2, 2))),
         ("average", accuracy_average(expected_quality(Evidence(3, 1)), Evidence(2, 2))),
     ])
     def test_each_name_runs_its_measure(self, capsys, name, want):
@@ -118,6 +118,9 @@ class TestAccuracyCommand:
         ("sensitivity", "1e6,1e-11", "1e6,1e-11", "1"),
         # A peak that rounds to 0 (only below the normal floats).
         ("max-certainty", "1e-320,1e6", "1,1", "0"),
+        # At that peak, where the point rounds to 0 too.
+        ("max-certainty", "1e-320,1e6", "1e-320,1e6", "1"),
+        ("sensitivity", "1e-320,1e6", "1e-320,1e6", "1"),
     ])
     def test_near_one_sided_peak(self, capsys, method, observed, report, want):
         code, out, _ = run(capsys, "accuracy", "--method", method,

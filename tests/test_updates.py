@@ -72,31 +72,34 @@ class TestAccuracyLinear:
 
 class TestAccuracyMaxCertainty:
     def test_small_observation_tolerant(self):
-        assert accuracy_max_certainty(Evidence(1, 1), 0.55) == pytest.approx(0.99, abs=0.001)
+        q = accuracy_max_certainty(Evidence(1, 1), Evidence(11, 9))
+        assert q == pytest.approx(0.99, abs=0.001)
 
     def test_large_observation_sharp(self):
-        assert accuracy_max_certainty(Evidence(200, 200), 0.55) == pytest.approx(0.134, abs=0.001)
+        q = accuracy_max_certainty(Evidence(200, 200), Evidence(11, 9))
+        assert q == pytest.approx(0.134, abs=0.001)
 
     def test_peak_ratio_is_one(self):
-        assert accuracy_max_certainty(Evidence(8, 2), 0.8) == pytest.approx(1.0, abs=1e-12)
+        q = accuracy_max_certainty(Evidence(8, 2), Evidence(4, 1))
+        assert q == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_observation(self):
         with pytest.raises(ValueError):
-            accuracy_max_certainty(Evidence(0, 0), 0.5)
+            accuracy_max_certainty(Evidence(0, 0), Evidence(1, 1))
 
     def test_one_sided_boundary(self):
         # observed all-positive: q = alpha'^r
-        assert accuracy_max_certainty(Evidence(3, 0), 0.5) == pytest.approx(0.125)
-        assert accuracy_max_certainty(Evidence(3, 0), 0.0) == 0.0
+        assert accuracy_max_certainty(Evidence(3, 0), Evidence(1, 1)) == pytest.approx(0.125)
+        assert accuracy_max_certainty(Evidence(3, 0), Evidence(0, 1)) == 0.0
 
 
 class TestPeakRatioNearOneSidedEvidence:
     """The peak ratios when r/(r+s) rounds to 0 or 1."""
 
     def test_far_point_scores_zero(self):
-        assert accuracy_max_certainty(Evidence(1e6, 1e-11), 0.5) == 0.0
-        assert accuracy_sensitivity(0.5, Evidence(1e6, 1e-11)) == 0.0
-        assert accuracy_max_certainty(Evidence(1e-320, 1e6), 0.5) == 0.0
+        assert accuracy_max_certainty(Evidence(1e6, 1e-11), Evidence(1, 1)) == 0.0
+        assert accuracy_sensitivity(Evidence(1, 1), Evidence(1e6, 1e-11)) == 0.0
+        assert accuracy_max_certainty(Evidence(1e-320, 1e6), Evidence(1, 1)) == 0.0
 
     def test_counts_score_their_own_peak_one(self):
         for method in (UpdateMethod.MAX_CERTAINTY, UpdateMethod.SENSITIVITY):
@@ -105,7 +108,8 @@ class TestPeakRatioNearOneSidedEvidence:
             assert out.s == 0.0 and out.r == certainty(Evidence(1e6, 1e-11))
 
     _COUNTS = [0.0, 5e-324, 1e-300, 1e-17, 1e-11, 1e-6, 0.5, 1.0, 3.0, 1e6, 1e15, 1e300, 1.7e308]
-    _POINTS = [0.0, 5e-324, 1e-17, 0.3, 0.5, 1 - 2**-53, 1.0]
+    _POINTS = [(0.0, 1.0), (5e-324, 1.0), (1e-17, 1.0), (3.0, 7.0), (1.0, 1.0), (1.0, 2**-53),
+               (1.0, 0.0)]
 
     def test_no_finite_evidence_gives_nan(self):
         """q lies in [0, 1] for every finite evidence and point, or, when the
@@ -113,9 +117,9 @@ class TestPeakRatioNearOneSidedEvidence:
         pairs = [(r, s) for r in self._COUNTS for s in self._COUNTS if r + s > 0]
         for r, s in pairs:
             e = Evidence(r, s)
-            qs = [lambda x=x: accuracy_max_certainty(e, x) for x in self._POINTS]
-            qs += [lambda x=x: accuracy_sensitivity(x, e) for x in self._POINTS]
-            qs += [lambda rp=rp, sp=sp: _peak_ratio(r, s, rp / (rp + sp), sp / (rp + sp))
+            qs = [lambda x=x: accuracy_max_certainty(e, Evidence(*x)) for x in self._POINTS]
+            qs += [lambda x=x: accuracy_sensitivity(Evidence(*x), e) for x in self._POINTS]
+            qs += [lambda rp=rp, sp=sp: _peak_ratio(r, s, rp, sp)
                    for rp, sp in pairs if rp + sp < math.inf]
             for q in qs:
                 if r + s == math.inf:
@@ -127,17 +131,19 @@ class TestPeakRatioNearOneSidedEvidence:
 
 class TestAccuracySensitivity:
     def test_small_report_tolerant(self):
-        assert accuracy_sensitivity(0.50, Evidence(1.1, 0.9)) == pytest.approx(0.99, abs=0.001)
+        q = accuracy_sensitivity(Evidence(1, 1), Evidence(1.1, 0.9))
+        assert q == pytest.approx(0.99, abs=0.001)
 
     def test_large_report_punished(self):
-        assert accuracy_sensitivity(0.50, Evidence(220, 180)) == pytest.approx(0.135, abs=0.001)
+        q = accuracy_sensitivity(Evidence(1, 1), Evidence(220, 180))
+        assert q == pytest.approx(0.135, abs=0.001)
 
     def test_peak_is_one(self):
-        assert accuracy_sensitivity(0.6, Evidence(6, 4)) == pytest.approx(1.0, abs=1e-12)
+        assert accuracy_sensitivity(Evidence(3, 2), Evidence(6, 4)) == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_report(self):
         with pytest.raises(ValueError):
-            accuracy_sensitivity(0.5, Evidence(0, 0))
+            accuracy_sensitivity(Evidence(1, 1), Evidence(0, 0))
 
 
 class TestAccuracyAverage:
@@ -364,8 +370,8 @@ class TestAccuracyMeasureProperties:
             alpha, alpha_p = expected_quality(obs), expected_quality(rep)
             for q in (
                 accuracy_linear(alpha, alpha_p),
-                accuracy_max_certainty(obs, alpha_p),
-                accuracy_sensitivity(alpha, rep),
+                accuracy_max_certainty(obs, rep),
+                accuracy_sensitivity(obs, rep),
                 accuracy_average(alpha, rep),
             ):
                 assert 0.0 <= q <= 1.0
@@ -384,13 +390,13 @@ class TestAccuracyMeasureProperties:
         rep = Evidence(2, 8)
         peak = 0.2
         grid = np.linspace(0.01, peak, 30)
-        vals = [accuracy_sensitivity(a, rep) for a in grid]
+        vals = [accuracy_sensitivity(Evidence(a, 1 - a), rep) for a in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_asymptotic_sensitivity_spot(self):
         # gap alpha=0.6 vs alpha'=0.5 at total 1e4 crushes both sharp measures
-        assert accuracy_max_certainty(Evidence(6000, 4000), 0.5) < 0.01
-        assert accuracy_sensitivity(0.6, Evidence(5000, 5000)) < 0.01
+        assert accuracy_max_certainty(Evidence(6000, 4000), Evidence(1, 1)) < 0.01
+        assert accuracy_sensitivity(Evidence(3, 2), Evidence(5000, 5000)) < 0.01
 
     def test_convergence_of_average_to_linear(self):
         q = accuracy_average(0.6, Evidence(50000, 50000))
