@@ -235,10 +235,13 @@ def synthesize_feedback(
 
     Each seller's per-step quality follows a behavior profile (default
     Probability(0.9)); the rating is 1 + Binomial(4, X_t), so mostly-good
-    sellers earn mostly 4s and 5s with occasional slumps.  A seller's
-    ratings come from one ``binomial`` call after its X_t, which draws as
-    one call per feedback would.
+    sellers earn mostly 4s and 5s with occasional slumps.  Each seller has
+    its own stream: :func:`~evitrust.simulation.behavior_sequence` draws its
+    X_t, then one ``binomial`` call draws its ratings.
     """
+    for name, count in (("sellers", sellers), ("feedbacks_per_seller", feedbacks_per_seller)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     if profile is None:
         profile = Probability(0.9)
     records: List[FeedbackRecord] = []

@@ -115,9 +115,6 @@ class Evidence:
         """Componentwise scaling; factor must be non-negative."""
         return Evidence(self.r * factor, self.s * factor)
 
-    def __add__(self, other: "Evidence") -> "Evidence":
-        return Evidence(self.r + other.r, self.s + other.s)
-
     def to_dict(self) -> dict:
         return {"r": self.r, "s": self.s}
 

@@ -23,11 +23,12 @@ every seed.  Every history run goes through the history method's fold,
 Determinism contract: every random draw comes from numpy PCG64 generators
 derived from the experiment seed with a fixed spawn layout (one independent
 stream per role), so a (config, seed) pair reproduces byte-identical output
-regardless of host or what else has run in the process.  A stream's
-transaction counts are drawn in one ``binomial`` call, which gives the same
-counts as one call per step and leaves the stream in the same state; behavior
-values are drawn step by step.  The drivers run on plain floats and build
-Evidence only for their records.
+regardless of host or what else has run in the process.  Each stream is
+drawn in one numpy call: behavior values in one ``random`` or ``uniform``
+call (after the hidden X_0 of walk and momentum), transaction counts in one
+``binomial`` call.  Each call gives the values of one call per step and
+leaves the stream in the same state.  The drivers run on plain floats and
+build Evidence only for their records.
 
 Behavior profiles (per-step quality X_t in [0, 1]):
 
@@ -62,7 +63,7 @@ import numpy as np
 import numpy.random
 
 from .core import Evidence, _belief, _quality, certainty, expected_quality
-from .propagation import _combine
+from .propagation import _combine, aggregate
 from .updates import _NO_HISTORY, UpdateMethod, _fold, _update
 
 __all__ = [
@@ -82,7 +83,6 @@ __all__ = [
     "ExperimentConfig",
     "TimestepRecord",
     "CombinationResult",
-    "behavior_value",
     "behavior_sequence",
     "sample_transactions",
     "make_report",
@@ -152,59 +152,44 @@ class Momentum:
 BehaviorProfile = Union[Probability, Periodic, Damping, Random, RandomWalk, Momentum]
 
 
-def behavior_value(
-    profile: BehaviorProfile,
-    t: int,
-    prev: float = 0.5,
-    prev2: float = 0.5,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Quality X_t of a provider following ``profile`` at timestep t.
-
-    ``prev``/``prev2`` supply X_{t-1} and X_{t-2} for the walk and momentum
-    variants, whose results are clamped to [0, 1] (X_t is a probability).
-    Stochastic profiles draw from ``rng``, which they require.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if rng is None and isinstance(profile, (Probability, Random, RandomWalk, Momentum)):
-        raise ValueError(f"{type(profile).__name__} is stochastic; behavior_value needs an rng")
-    if isinstance(profile, Probability):
-        return 1.0 if rng.random() < profile.p else 0.0
-    if isinstance(profile, Periodic):
-        return 1.0 if (t // 2) % 2 == 1 else 0.0
-    if isinstance(profile, Damping):
-        return 1.0 if t <= profile.horizon / 2.0 else 0.0
-    if isinstance(profile, Random):
-        return float(rng.random())
-    if isinstance(profile, RandomWalk):
-        return min(max(prev + profile.gamma * rng.uniform(-1.0, 1.0), 0.0), 1.0)
-    if isinstance(profile, Momentum):
-        step = profile.gamma * rng.uniform(-1.0, 1.0) + profile.psi * (prev - prev2)
-        return min(max(prev + step, 0.0), 1.0)
-    raise TypeError(f"unknown behavior profile: {profile!r}")
-
-
 def behavior_sequence(
     profile: BehaviorProfile,
     rng: np.random.Generator,
     timesteps: int,
 ) -> List[float]:
-    """X_1 .. X_T for a profile, handling walk/momentum initialization.
+    """X_1 .. X_T of a provider following ``profile``, T = ``timesteps``.
 
-    Walk and momentum start from a hidden X_0 ~ U(0, 1); momentum emits
-    X_1 = X_0 so its two-step lookback is defined from t = 2 on.
+    Periodic and Damping draw nothing.  Probability and Random take their
+    values from one ``random(T)`` call.  Walk and momentum draw a hidden
+    X_0 ~ U(0, 1) first (also for T = 0), then their n steps in one
+    ``uniform(-1, 1, n)`` call, and clamp each X_t to [0, 1] (X_t is a
+    probability).  The walk takes n = T steps.  Momentum emits X_1 = X_0, so
+    that its two-step lookback is defined from t = 2 on, and takes
+    n = max(T − 1, 0).
     """
-    prev = prev2 = float(rng.random()) if isinstance(profile, (RandomWalk, Momentum)) else 0.5
-    values: List[float] = []
-    for t in range(1, timesteps + 1):
-        if t == 1 and isinstance(profile, Momentum):
-            x = prev
-        else:
-            x = behavior_value(profile, t, prev, prev2, rng)
-        values.append(x)
-        prev2, prev = prev, x
-    return values
+    if timesteps < 0:
+        raise ValueError(f"timesteps must be >= 0, got {timesteps}")
+    ts = range(1, timesteps + 1)
+    if isinstance(profile, Probability):
+        return [1.0 if u < profile.p else 0.0 for u in rng.random(timesteps).tolist()]
+    if isinstance(profile, Random):
+        return rng.random(timesteps).tolist()
+    if isinstance(profile, Periodic):
+        return [1.0 if (t // 2) % 2 == 1 else 0.0 for t in ts]
+    if isinstance(profile, Damping):
+        return [1.0 if t <= profile.horizon / 2.0 else 0.0 for t in ts]
+    if isinstance(profile, (RandomWalk, Momentum)):
+        momentum = isinstance(profile, Momentum)
+        prev = prev2 = float(rng.random())
+        xs = [prev] if momentum and timesteps else []
+        for u in rng.uniform(-1.0, 1.0, timesteps - len(xs)).tolist():
+            step = profile.gamma * u
+            if momentum:
+                step += profile.psi * (prev - prev2)
+            prev2, prev = prev, min(max(prev + step, 0.0), 1.0)
+            xs.append(prev)
+        return xs
+    raise TypeError(f"unknown behavior profile: {profile!r}")
 
 
 # numpy's binomial takes the transaction count as a signed 64-bit integer,
@@ -509,7 +494,7 @@ def run_referrer_experiment(
         rumor_switch = profile.switch_step if isinstance(profile, Rumor) else config.timesteps
         reports = [
             (make_report(profile, f if t > rumor_switch else acc, t),)
-            for t, (f, acc) in enumerate(zip(fresh, accumulate(fresh)), 1)
+            for t, (f, acc) in enumerate(zip(fresh, accumulate(fresh, aggregate)), 1)
         ]
     return _track_referrers(config, reports, rng_client)[0]
 
@@ -544,8 +529,8 @@ def run_combination_experiment(
     ``trust_state``; both full trust trajectories ride alongside.
     """
     rng_good, rng_bad, rng_client = _streams(config.seed, 3)
-    goods = accumulate(_provider_draws(config, config.tx_per_step, rng_good))
-    bads = accumulate(_provider_draws(config, config.tx_per_step, rng_bad))
+    goods = accumulate(_provider_draws(config, config.tx_per_step, rng_good), aggregate)
+    bads = accumulate(_provider_draws(config, config.tx_per_step, rng_bad), aggregate)
     reports = [
         (good, Evidence(0.0, bad.total) if t > switch_step else bad)
         for t, (good, bad) in enumerate(zip(goods, bads), 1)

@@ -108,6 +108,11 @@ CASES = [
     # files that cannot be opened
     "amazon --input {tmp}/missing.csv",
     "amazon --out {tmp}/missing/table.csv",
+    # the shortest behavior streams, with and without walk and momentum's hidden X_0
+    *(f"simulate --experiment history --timesteps {n} --profile {p}"
+      for p in ("random", "walk:0.2", "momentum:0.1,0.5") for n in (1, 2)),
+    "sweep --profiles random,walk:0.2,momentum:0.1,0.5,probability:0.3 --beta-grid 0:1:0.5 "
+    "--seeds 3",
 ]
 FULL = [
     "simulate --experiment referrer --timesteps 60 --method LinearWS --profile rumor:20,10",

@@ -331,6 +331,15 @@ class TestSynthesizeFeedback:
 
     def test_no_feedbacks(self):
         assert synthesize_feedback(sellers=2, feedbacks_per_seller=0) == []
+        assert synthesize_feedback(sellers=0, feedbacks_per_seller=5) == []
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"sellers": -1}, "sellers must be >= 0, got -1"),
+        ({"feedbacks_per_seller": -1}, "feedbacks_per_seller must be >= 0, got -1"),
+    ])
+    def test_negative_counts_name_the_argument(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            synthesize_feedback(**kwargs)
 
 
 _HEADER = "seller_id,t,rating\n"

@@ -23,7 +23,6 @@ from evitrust.simulation import (
     TimestepRecord,
     Truthful,
     behavior_sequence,
-    behavior_value,
     history_errors,
     make_report,
     prediction_error,
@@ -42,40 +41,75 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-class TestBehaviorValue:
-    def test_periodic_anchor(self):
-        assert behavior_value(Periodic(), 2) == 1.0
+def _per_step_sequence(profile, g, timesteps):
+    """The per-step rule that behavior_sequence replaced, kept as its
+    reference: one draw per X_t, each X_t from the two before it."""
+    def value(t, prev, prev2):
+        if isinstance(profile, Probability):
+            return 1.0 if g.random() < profile.p else 0.0
+        if isinstance(profile, Periodic):
+            return 1.0 if (t // 2) % 2 == 1 else 0.0
+        if isinstance(profile, Damping):
+            return 1.0 if t <= profile.horizon / 2.0 else 0.0
+        if isinstance(profile, Random):
+            return float(g.random())
+        if isinstance(profile, RandomWalk):
+            return min(max(prev + profile.gamma * g.uniform(-1.0, 1.0), 0.0), 1.0)
+        step = profile.gamma * g.uniform(-1.0, 1.0) + profile.psi * (prev - prev2)
+        return min(max(prev + step, 0.0), 1.0)
+
+    prev = prev2 = float(g.random()) if isinstance(profile, (RandomWalk, Momentum)) else 0.5
+    values = []
+    for t in range(1, timesteps + 1):
+        x = prev if t == 1 and isinstance(profile, Momentum) else value(t, prev, prev2)
+        values.append(x)
+        prev2, prev = prev, x
+    return values
+
+
+_EVERY_PROFILE = [
+    Probability(0.9), Probability(0.3), Probability(0.0), Probability(1.0), Periodic(),
+    Damping(40), Damping(1), Random(), RandomWalk(0.2), RandomWalk(0.0), RandomWalk(1.0),
+    Momentum(0.1, 0.5), Momentum(0.0, 0.5), Momentum(1.0, 1.0),
+]
+
+
+class TestBehaviorSequence:
+    @pytest.mark.parametrize("profile", _EVERY_PROFILE, ids=repr)
+    def test_matches_the_per_step_rule(self, profile):
+        """Each stream drawn in one call gives the per-step values, bit for
+        bit, and leaves the generator where the per-step draws leave it."""
+        for seed in range(6):
+            for timesteps in range(101):
+                bulk, per_step = rng(seed), rng(seed)
+                got = behavior_sequence(profile, bulk, timesteps)
+                want = _per_step_sequence(profile, per_step, timesteps)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+                assert bulk.bit_generator.state == per_step.bit_generator.state
 
     def test_periodic_exact_period_four(self):
-        xs = [behavior_value(Periodic(), t) for t in range(0, 41)]
-        for t in range(0, 37):
+        xs = behavior_sequence(Periodic(), rng(), 41)
+        for t in range(37):
             assert xs[t] == xs[t + 4]
-        assert xs[:4] == [0.0, 0.0, 1.0, 1.0]
+        assert xs[:4] == [0.0, 1.0, 1.0, 0.0]
 
     def test_damping_boundary(self):
-        assert behavior_value(Damping(horizon=100), 50) == 1.0
-        assert behavior_value(Damping(horizon=100), 51) == 0.0
+        xs = behavior_sequence(Damping(horizon=100), rng(), 60)
+        assert (xs[49], xs[50]) == (1.0, 0.0)
 
     def test_probability_degenerate(self):
-        assert all(behavior_value(Probability(1.0), t, rng=rng()) == 1.0 for t in range(5))
-        assert all(behavior_value(Probability(0.0), t, rng=rng()) == 0.0 for t in range(5))
-
-    def test_stochastic_profile_without_rng_is_value_error(self):
-        with pytest.raises(ValueError, match="rng"):
-            behavior_value(Probability(0.9), 1)
+        assert behavior_sequence(Probability(1.0), rng(), 50) == [1.0] * 50
+        assert behavior_sequence(Probability(0.0), rng(), 50) == [0.0] * 50
 
     def test_random_walk_zero_gamma_is_constant(self):
-        g = rng(1)
-        for prev in (0.0, 0.3, 1.0):
-            assert behavior_value(RandomWalk(gamma=0.0), 3, prev=prev, rng=g) == prev
+        # zero noise: the walk holds its hidden X_0, the generator's first draw
+        assert behavior_sequence(RandomWalk(gamma=0.0), rng(1), 50) == [rng(1).random()] * 50
 
-    def test_walk_and_momentum_stay_clamped(self):
-        g = rng(7)
-        prev = prev2 = 0.95
-        for t in range(1, 500):
-            x = behavior_value(Momentum(gamma=1.0, psi=1.0), t, prev, prev2, g)
-            assert 0.0 <= x <= 1.0
-            prev2, prev = prev, x
+    @pytest.mark.parametrize("profile", [RandomWalk(1.0), Momentum(gamma=1.0, psi=1.0)])
+    def test_walk_and_momentum_stay_clamped(self, profile):
+        xs = behavior_sequence(profile, rng(7), 500)
+        assert all(0.0 <= x <= 1.0 for x in xs)
+        assert 0.0 in xs and 1.0 in xs
 
     def test_momentum_sequence_starts_flat(self):
         xs = behavior_sequence(Momentum(gamma=0.0, psi=0.5), rng(3), 5)
@@ -460,8 +494,10 @@ class TestReferrerLoopIsUpdateReferrer:
 
 
 @pytest.mark.parametrize("check,error,match", [
-    (lambda: behavior_value(Periodic(), -1), ValueError, "t must be >= 0"),
-    (lambda: behavior_value(object(), 1), TypeError, "unknown behavior profile"),
+    (lambda: behavior_sequence(Periodic(), rng(), -1), ValueError, "timesteps must be >= 0"),
+    (lambda: behavior_sequence(RandomWalk(), rng(), -1), ValueError, "timesteps must be >= 0"),
+    (lambda: behavior_sequence(object(), rng(), 1), TypeError, "unknown behavior profile"),
+    (lambda: behavior_sequence(object(), rng(), 0), TypeError, "unknown behavior profile"),
     (lambda: sample_transactions(1.5, 5, rng()), ValueError, "x must be in"),
     (lambda: make_report(object(), Evidence(1, 1), 1), TypeError, "unknown referrer profile"),
     (lambda: ExperimentConfig(timesteps=0), ValueError, "timesteps must be"),

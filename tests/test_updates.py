@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Tolerance, accuracy_average_integral
 from evitrust.core import Evidence, certainty, expected_quality
+from evitrust.propagation import aggregate
 from evitrust.simulation import ExperimentConfig
 from evitrust.updates import (
     HistoryState,
@@ -426,7 +427,7 @@ class TestOneUpdateStep:
         upd = history_update(state, Evidence(*observed))
         assert upd.state.history_trust == ghost
         assert upd.discount == expected_quality(ghost)
-        assert upd.combined == Evidence(*observed) + state.carried.scaled(upd.discount)
+        assert upd.combined == aggregate(Evidence(*observed), state.carried.scaled(upd.discount))
 
 
 class TestConfigMethod:
