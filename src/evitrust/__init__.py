@@ -10,9 +10,8 @@ Each module declares its public names once, in its ``__all__``; the package
 re-exports them all.
 """
 
-from . import errors, numerics, core, propagation, updates, simulation, amazon
+from . import errors, core, propagation, updates, simulation, amazon
 from .errors import *  # noqa: F401,F403
-from .numerics import *  # noqa: F401,F403
 from .core import *  # noqa: F401,F403
 from .propagation import *  # noqa: F401,F403
 from .updates import *  # noqa: F401,F403
@@ -21,5 +20,5 @@ from .amazon import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [name for module in (errors, numerics, core, propagation, updates, simulation, amazon)
+__all__ = [name for module in (errors, core, propagation, updates, simulation, amazon)
            for name in module.__all__]

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import Evidence, _quality
 from .errors import FeedbackFormatError
 from .simulation import (
-    BehaviorProfile, HistoryMode, Probability, _grid_errors, _keep, _streams, behavior_sequence,
+    _MAX_SEED, BehaviorProfile, HistoryMode, Probability, _grid_errors, _keep, _streams,
+    behavior_sequence,
 )
 from .updates import _NO_HISTORY, _fold
 
@@ -237,11 +238,14 @@ def synthesize_feedback(
     Probability(0.9)); the rating is 1 + Binomial(4, X_t), so mostly-good
     sellers earn mostly 4s and 5s with occasional slumps.  Each seller has
     its own stream: :func:`~evitrust.simulation.behavior_sequence` draws its
-    X_t, then one ``binomial`` call draws its ratings.
+    X_t, then one ``binomial`` call draws its ratings.  ``seed`` must fit in
+    64 unsigned bits, as in :class:`~evitrust.simulation.ExperimentConfig`.
     """
     for name, count in (("sellers", sellers), ("feedbacks_per_seller", feedbacks_per_seller)):
         if count < 0:
             raise ValueError(f"{name} must be >= 0, got {count}")
+    if not 0 <= seed <= _MAX_SEED:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
     if profile is None:
         profile = Probability(0.9)
     records: List[FeedbackRecord] = []

@@ -341,6 +341,14 @@ class TestSynthesizeFeedback:
         with pytest.raises(ValueError, match=match):
             synthesize_feedback(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_unsigned_bits_is_refused(self, seed):
+        with pytest.raises(ValueError, match=f"seed must fit in 64 unsigned bits, got {seed}$"):
+            synthesize_feedback(sellers=1, feedbacks_per_seller=1, seed=seed)
+
+    def test_largest_seed_runs(self):
+        assert len(synthesize_feedback(sellers=2, feedbacks_per_seller=3, seed=2**64 - 1)) == 6
+
 
 _HEADER = "seller_id,t,rating\n"
 

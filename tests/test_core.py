@@ -253,6 +253,43 @@ class TestCertaintyAcrossDomain:
         assert certainty(Evidence(n, n)) == 0.0
 
 
+class TestExactKernelValues:
+    """The kernel's outputs to the last bit, as float.hex, so that a change
+    meant to leave the numbers alone can show it did (the goldens print
+    certainty to 10 digits only)."""
+
+    @pytest.mark.parametrize("r,s,want", [
+        (0.0, 0.0, "0x0.0p+0"),
+        (0.37, 0.0, "0x1.d86ae716b19dep-4"),
+        (0.0, 1e6, "0x1.fffe0ee0abfb4p-1"),
+        (1e-15, 1e-15, "0x0.0p+0"),
+        (3.6, 0.4, "0x1.c584595a0e08cp-2"),      # the combine run's regime
+        (45.0, 5.0, "0x1.9325f1f76752ap-1"),     # the amazon run's regime
+        (25.0, 25.0, "0x1.5d62fe726b4d6p-1"),
+        (999.0, 1.0, "0x1.fac9887a6afb3p-1"),    # a terminating fraction
+        (8608.0, 0.0138, "0x1.ff664c21f4287p-1"),
+        (2.0, 5e-324, "0x1.8a2345cc04424p-2"),
+        (5e5, 5e5, "0x1.fdff397c3beffp-1"),
+        (3e5, 7e5, "0x1.fe275ad700ff2p-1"),
+    ])
+    def test_certainty(self, r, s, want):
+        core._certainty.cache_clear()
+        assert certainty(Evidence(r, s)).hex() == want
+
+    @pytest.mark.parametrize("belief,want_r,want_s", [
+        # two-sided, started at the Gaussian estimate
+        ((0.72, 0.08, 0.2), "0x1.a0e3d7d9e76b0p+5", "0x1.7291a36c5bed6p+2"),
+        # two-sided, started at the one-sided root
+        ((0.05, 0.05, 0.9), "0x1.acae288b7dc21p-2", "0x1.acae288b7dc21p-2"),
+        # α = 1: the closed form alone
+        ((0.9, 0.0, 0.1), "0x1.6f5150cb93e05p+5", "0x0.0p+0"),
+    ])
+    def test_from_belief(self, belief, want_r, want_s):
+        core._certainty.cache_clear()
+        e = from_belief(Belief(*belief))
+        assert (e.r.hex(), e.s.hex()) == (want_r, want_s)
+
+
 def _counting(monkeypatch, name):
     """Count the calls made through ``core.<name>`` while patched."""
     calls = []

@@ -6,18 +6,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 from scipy.special import betainc  # test-only oracle (the test extra)
 
 import evitrust
 from conftest import DEFAULT_TOLERANCE, Tolerance, integrate
-from evitrust.core import Evidence, _log_crossings, certainty
+from evitrust import core
+from evitrust.core import Evidence, _excess, _log_crossings, certainty, log_beta
 from evitrust.errors import ConvergenceError
-from evitrust.numerics import (
-    _incomplete_beta,
-    log_beta,
-    regularized_incomplete_beta,
-)
 
 
 class TestLogBeta:
@@ -63,63 +59,6 @@ class TestLogBeta:
         big = Evidence(1e308, 1e308)
         with pytest.raises(ValueError, match="log_beta overflows"):
             certainty(big)
-        with pytest.raises(ValueError, match="log_beta overflows"):
-            regularized_incomplete_beta(0.5, 1e308, 1e308)
-
-
-class TestRegularizedIncompleteBeta:
-    def test_endpoints(self):
-        assert regularized_incomplete_beta(0.0, 3.0, 4.0) == 0.0
-        assert regularized_incomplete_beta(1.0, 3.0, 4.0) == 1.0
-
-    @pytest.mark.parametrize("a", [0.5, 1.0, 3.0, 17.5])
-    def test_symmetric_midpoint(self, a):
-        assert regularized_incomplete_beta(0.5, a, a) == pytest.approx(0.5, abs=1e-12)
-
-    def test_against_quadrature(self):
-        # I_0.3(3, 4) = ∫₀^0.3 x²(1-x)³ dx / B(3, 4)
-        num = integrate(lambda x: x**2 * (1 - x) ** 3, 0.0, 0.3, Tolerance(1e-12, 40))
-        assert regularized_incomplete_beta(0.3, 3.0, 4.0) == pytest.approx(
-            num * 60.0, abs=1e-9
-        )
-
-    @given(
-        x1=st.floats(0.0, 1.0),
-        x2=st.floats(0.0, 1.0),
-        a=st.floats(0.05, 50.0),
-        b=st.floats(0.05, 50.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_monotone_in_x(self, x1, x2, a, b):
-        lo, hi = min(x1, x2), max(x1, x2)
-        assert regularized_incomplete_beta(lo, a, b) <= regularized_incomplete_beta(
-            hi, a, b
-        ) + 1e-12
-
-    # x bounded away from the endpoints: closer in, 1-x itself rounds and
-    # the identity is lost to representation error, not to the function
-    @given(
-        x=st.floats(1e-6, 1.0 - 1e-6),
-        a=st.floats(0.05, 50.0),
-        b=st.floats(0.05, 50.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_reflection_identity(self, x, a, b):
-        lhs = regularized_incomplete_beta(x, a, b)
-        rhs = regularized_incomplete_beta(1.0 - x, b, a)
-        assert lhs + rhs == pytest.approx(1.0, abs=1e-9)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(-0.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(0.5, 0.0, 1.0)
-
-    def test_shape_beyond_step_cap_raises(self):
-        with pytest.raises(ConvergenceError, match="continued fraction"):
-            regularized_incomplete_beta(0.5, 1e14, 1e14)
 
 
 def _crossing_cases():
@@ -137,7 +76,7 @@ def _crossing_cases():
 
 
 def _unit_crossings(r, s):
-    """(x, 1 − x, a, b) at each unit crossing of the density of ⟨r, s⟩ ≠ ⟨0, 0⟩.
+    """(t, a, b) at each unit crossing x = eᵗ of the density of ⟨r, s⟩ ≠ ⟨0, 0⟩.
 
     The left crossing x_lo comes with its tail's shapes (r+1, s+1), and the
     right one as w = 1 − x_hi with (s+1, r+1).  One-sided evidence has only
@@ -151,7 +90,7 @@ def _unit_crossings(r, s):
     else:
         logs = _log_crossings(r, s) or []
         shapes = [(r + 1.0, s + 1.0), (s + 1.0, r + 1.0)]
-    return [(math.exp(t), -math.expm1(t), a, b) for t, (a, b) in zip(logs, shapes)]
+    return [(t, a, b) for t, (a, b) in zip(logs, shapes)]
 
 
 class TestCrossingTail:
@@ -161,12 +100,28 @@ class TestCrossingTail:
     def test_matches_betainc_at_unit_crossings(self):
         checked = 0
         for r, s in _crossing_cases():
-            for x, y, a, b in _unit_crossings(r, s):
-                want = float(betainc(a, b, x))
-                assert abs(_incomplete_beta(x, y, a, b, x * y) - want) <= 1e-12, (r, s, x)
-                assert abs(regularized_incomplete_beta(x, a, b) - want) <= 1e-12, (r, s, x)
+            for t, a, b in _unit_crossings(r, s):
+                x = math.exp(t)
+                want = x - float(betainc(a, b, x))
+                assert abs(_excess(t, a, b) - want) <= 1e-12, (r, s, x)
                 checked += 1
         assert checked > 800
+
+    def test_mirror_past_the_switch_point_matches_betainc(self):
+        # No evidence tail has been seen past (a+1)/(a+b+2), so take shapes
+        # below the evidence domain (b < 1, an increasing density), whose
+        # unit crossing lies past it.
+        a, b = 2.0, 0.5
+        lb = log_beta(a, b)
+        t = brentq(lambda t: (a - 1.0) * t + (b - 1.0) * math.log(-math.expm1(t)) - lb,
+                   math.log(0.5), math.log(0.99), xtol=1e-15, rtol=1e-15)
+        x = math.exp(t)
+        assert x * (a + b + 2.0) >= a + 1.0
+        assert abs(_excess(t, a, b) - (x - float(betainc(a, b, x)))) <= 1e-12
+
+    def test_shape_beyond_step_cap_raises(self):
+        with pytest.raises(ConvergenceError, match="continued fraction"):
+            core._beta_cf(0.5, 1e14, 1e14)
 
 
 def test_cli_import_leaves_scipy_out():

@@ -1,10 +1,12 @@
 import pkgutil
+import re
+from pathlib import Path
 
 import evitrust
-from evitrust import amazon, core, errors, numerics, propagation, simulation, updates
+from evitrust import amazon, core, errors, propagation, simulation, updates
 
 # The library modules, in layer order; the CLI exports nothing.
-_LAYERS = (errors, numerics, core, propagation, updates, simulation, amazon)
+_LAYERS = (errors, core, propagation, updates, simulation, amazon)
 
 
 def test_package_exports_every_module_name_once():
@@ -19,3 +21,11 @@ def test_package_exports_every_module_name_once():
 def test_every_module_but_the_cli_is_a_layer():
     modules = {info.name for info in pkgutil.iter_modules(evitrust.__path__)}
     assert modules - {"cli"} == {module.__name__.rpartition(".")[2] for module in _LAYERS}
+
+
+def test_readme_layout_lists_every_module():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\w+)\.py ", layout, re.MULTILINE)
+    modules = [info.name for info in pkgutil.iter_modules(evitrust.__path__)]
+    assert sorted(listed) == sorted(modules)
