@@ -27,7 +27,7 @@ import io
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Evidence, _quality
+from .core import _quality
 from .errors import FeedbackFormatError
 from .simulation import (
     _MAX_SEED, BehaviorProfile, HistoryMode, Probability, _grid_errors, _keep, _streams,
@@ -38,7 +38,6 @@ from .updates import _NO_HISTORY, _fold
 __all__ = [
     "FeedbackRecord",
     "AmazonConfig",
-    "rating_to_evidence",
     "normalize_rating",
     "load_feedback_csv",
     "parse_feedback_csv",
@@ -88,11 +87,6 @@ def normalize_rating(rating: int) -> float:
 def _feedback_evidence(v: float) -> Tuple[float, float]:
     """A normalized feedback as ten transactions at that value: (10v, 10(1−v))."""
     return 10.0 * v, 10.0 * (1.0 - v)
-
-
-def rating_to_evidence(rating: int) -> Evidence:
-    """A rating as ten transactions at its normalized value: ⟨10v, 10(1−v)⟩."""
-    return Evidence(*_feedback_evidence(normalize_rating(rating)))
 
 
 # Every rating's evidence as float pairs, built once for the feedback folds.

@@ -45,8 +45,7 @@ from .simulation import (
     _table,
     history_errors,
     prediction_error,
-    records_to_csv,
-    records_to_json,
+    records_table,
     run_combination_experiment,
     run_history_experiment,
     run_referrer_experiment,
@@ -415,7 +414,7 @@ def _cmd_simulate(args) -> str:
     else:
         _require_behavior_profiles(args.profile)
         records = run_history_experiment(cfg, args.profile, args.mode)
-    return records_to_json(records) if args.format == "json" else records_to_csv(records)
+    return records_table(records, args.format)
 
 
 def _cmd_sweep(args) -> str:

@@ -302,7 +302,8 @@ def _log_crossing(a: float, b: float, lbeta: float, t_peak: float, height: float
     it exact to ~1e-20.  That takes at most 4 evaluations of g over totals
     1e-6..1e6, and on average 3.2 per crossing on the benchmark's
     ``combine`` and ``amazon`` runs.  Returns -inf when the crossing lies
-    below the smallest float.
+    below the smallest float, and raises :class:`ConvergenceError`, naming
+    a and b, if Newton has not stopped within its step budget.
     """
     lo, hi = lbeta / a, t_peak
     if lo == -math.inf:
@@ -344,7 +345,11 @@ def _log_crossing(a: float, b: float, lbeta: float, t_peak: float, height: float
             # Quadratic convergence: step_to is already exact to ~1e-20.
             return step_to
         t = step_to
-    return t
+    raise ConvergenceError(
+        f"the unit crossing of x**a * (1 - x)**b did not converge in {_MAX_NEWTON_STEPS} "
+        f"Newton steps for a={a!r}, b={b!r}",
+        best_estimate=math.exp(t),
+    )
 
 
 def certainty(e: Evidence) -> float:

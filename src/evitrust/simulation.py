@@ -64,7 +64,7 @@ import numpy.random
 
 from .core import Evidence, _belief, _quality, certainty, expected_quality
 from .propagation import _combine, aggregate
-from .updates import _NO_HISTORY, UpdateMethod, _fold, _update
+from .updates import _NO_HISTORY, UpdateConfig, _fold, _update
 
 __all__ = [
     "Probability",
@@ -84,15 +84,13 @@ __all__ = [
     "TimestepRecord",
     "CombinationResult",
     "behavior_sequence",
-    "sample_transactions",
     "make_report",
     "prediction_error",
     "history_errors",
     "run_referrer_experiment",
     "run_combination_experiment",
     "run_history_experiment",
-    "records_to_csv",
-    "records_to_json",
+    "records_table",
     "CSV_HEADER",
 ]
 
@@ -198,15 +196,6 @@ _MAX_TRANSACTIONS = 2**63 - 1
 _MAX_SEED = 2**64 - 1
 
 
-def sample_transactions(x: float, n: int, rng: np.random.Generator) -> Evidence:
-    """Outcome counts ⟨k, n−k⟩ of n independent transactions at quality x."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if not 1 <= n <= _MAX_TRANSACTIONS:
-        raise ValueError(f"n must be in [1, 2**63 - 1], got {n}")
-    return Evidence(*_transactions((x,), n, rng)[0])
-
-
 def _transactions(
     xs: Sequence[float], n: int, rng: np.random.Generator
 ) -> List[Tuple[float, float]]:
@@ -305,28 +294,24 @@ _REFERRER_TX_PER_STEP = 5
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(UpdateConfig):
     """Shared knobs of the experiment drivers.
 
     ``tx_per_step`` is the number of transactions the client observes per
-    timestep.  ``method`` and ``beta`` select the referrer update; the
-    history experiment reads ``beta`` in FixedBeta mode only.
+    timestep.  The inherited ``method`` and ``beta`` select the referrer
+    update; the history experiment reads ``beta`` in FixedBeta mode only.
     """
 
     timesteps: int = 100
     tx_per_step: int = 50
     seed: int = 0
-    method: UpdateMethod = UpdateMethod.AVERAGE_BETA
-    beta: float = 0.2
 
     def __post_init__(self):
-        object.__setattr__(self, "method", UpdateMethod(self.method))
+        super().__post_init__()
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         if not 1 <= self.tx_per_step <= _MAX_TRANSACTIONS:
             raise ValueError(f"tx_per_step must be in [1, 2**63 - 1], got {self.tx_per_step}")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.seed < 0 or self.seed > _MAX_SEED:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
@@ -393,12 +378,9 @@ def _record_row(rec: TimestepRecord) -> List[_Cell]:
     ]
 
 
-def records_to_csv(records: Sequence[TimestepRecord]) -> str:
-    return _table(CSV_HEADER.split(","), map(_record_row, records), "csv")
-
-
-def records_to_json(records: Sequence[TimestepRecord]) -> str:
-    return _table(CSV_HEADER.split(","), map(_record_row, records), "json")
+def records_table(records: Sequence[TimestepRecord], fmt: str) -> str:
+    """An experiment series under :data:`CSV_HEADER`, as ``fmt`` (csv or json)."""
+    return _table(CSV_HEADER.split(","), map(_record_row, records), fmt)
 
 
 def prediction_error(series: Sequence[TimestepRecord]) -> float:
@@ -506,7 +488,6 @@ class CombinationResult:
     records: List[TimestepRecord]
     good_trust: List[Evidence]
     corrupted_trust: List[Evidence]
-    switch_step: int
 
 
 def run_combination_experiment(
@@ -537,7 +518,7 @@ def run_combination_experiment(
     ]
     records, trusts = _track_referrers(config, reports, rng_client)
     good_trust, bad_trust = ([Evidence(*trust) for trust in column] for column in zip(*trusts))
-    return CombinationResult(records, good_trust, bad_trust, switch_step)
+    return CombinationResult(records, good_trust, bad_trust)
 
 
 def _history_observations(

@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .core import Evidence, _certainty, _quality
 
@@ -48,7 +48,6 @@ __all__ = [
     "UpdateMethod",
     "UpdateConfig",
     "HistoryState",
-    "HistoryUpdate",
     "general_update",
     "accuracy_linear",
     "accuracy_max_certainty",
@@ -109,31 +108,30 @@ class HistoryState:
         if self.history_trust.total <= 0:
             raise ValueError("history_trust must carry positive total evidence")
 
+    @property
+    def discount(self) -> float:
+        """The retention of the carried history, the expected quality of
+        ``history_trust``: the discount that the update which made this
+        state applied."""
+        return _quality(self.history_trust.r, self.history_trust.s)
 
-class HistoryUpdate(NamedTuple):
-    combined: Evidence
-    state: HistoryState
-    discount: float
 
+def general_update(q: float, beta: float, c_prime: float, prior: Evidence) -> Evidence:
+    """Generic trust update: ⟨c′q + (1−β)r, c′(1−q) + (1−β)s⟩.
 
-def general_update(q: float, p: float, beta: float, c_prime: float, prior: Evidence) -> Evidence:
-    """Generic trust update: ⟨c′q + (1−β)r, c′p + (1−β)s⟩.
-
-    q and p are the good/bad shares of the estimate and must sum to 1.
+    q is the good share of the estimate and 1 − q its bad share.
     """
-    for name, v in (("q", q), ("p", p), ("beta", beta), ("c_prime", c_prime)):
+    for name, v in (("q", q), ("beta", beta), ("c_prime", c_prime)):
         _check_unit(name, v)
-    if abs(q + p - 1.0) > 1e-9:
-        raise ValueError(f"q + p must equal 1, got {q + p}")
-    return Evidence(*_general_update(q, p, beta, c_prime, prior.r, prior.s))
+    return Evidence(*_general_update(q, beta, c_prime, prior.r, prior.s))
 
 
 def _general_update(
-    q: float, p: float, beta: float, c_prime: float, r: float, s: float
+    q: float, beta: float, c_prime: float, r: float, s: float
 ) -> Tuple[float, float]:
     """:func:`general_update` of a prior of plain counts ⟨r, s⟩, unchecked."""
     retain = 1.0 - beta
-    return c_prime * q + retain * r, c_prime * p + retain * s
+    return c_prime * q + retain * r, c_prime * (1.0 - q) + retain * s
 
 
 def _check_unit(name: str, v: float) -> float:
@@ -279,10 +277,10 @@ def _update(
         q, c_prime = _peak_ratio(r, s, rp, sp), _certainty(rp, sp)
     else:  # Sensitivity
         q, c_prime = _peak_ratio(rp, sp, r, s), _certainty(rp, sp)
-    return _general_update(q, 1.0 - q, beta, c_prime, prior_r, prior_s)
+    return _general_update(q, beta, c_prime, prior_r, prior_s)
 
 
-def history_update(state: HistoryState, observed: Evidence) -> HistoryUpdate:
+def history_update(state: HistoryState, observed: Evidence) -> HistoryState:
     """Self-tuning history update for a provider.
 
     The carried history plays the role of a report from a ghost referrer.
@@ -293,18 +291,18 @@ def history_update(state: HistoryState, observed: Evidence) -> HistoryUpdate:
 
         history_trust += ⟨c·c′·q, c·c′·(1−q)⟩
         discount  = expected_quality(history_trust)
-        combined  = observed + discount · carried
+        carried   = observed + discount · carried
 
-    The trust step is the AverageBeta update with β = 0.  With no
-    observation (total 0) the state is returned unchanged: an empty
-    observation has certainty 0 and cannot move anything.
+    Returns the new state, whose ``discount`` is the one applied.  The trust
+    step is the AverageBeta update with β = 0.  With no observation (total
+    0) the state is returned unchanged: an empty observation has certainty 0
+    and cannot move anything.
     """
     carried, trust = state.carried, state.history_trust
     # The fold's prediction gap is not needed here, so its α is a placeholder.
     r, s, trust_r, trust_s = _fold(((observed.r, observed.s),), (0.0,), None,
                                    (carried.r, carried.s, trust.r, trust.s))[1]
-    combined, trust = Evidence(r, s), Evidence(trust_r, trust_s)
-    return HistoryUpdate(combined, HistoryState(combined, trust), _quality(trust_r, trust_s))
+    return HistoryState(Evidence(r, s), Evidence(trust_r, trust_s))
 
 
 def _fold(

@@ -9,10 +9,10 @@ from evitrust.amazon import (
     normalize_rating,
     parse_feedback_csv,
     predict_feedback,
-    rating_to_evidence,
     run_amazon_experiment,
     synthesize_feedback,
 )
+from evitrust.amazon import _feedback_evidence
 from evitrust.errors import FeedbackFormatError
 from evitrust.cli import _PREDICTORS
 from evitrust import simulation
@@ -28,6 +28,11 @@ from evitrust.simulation import (
     behavior_sequence,
     history_errors,
 )
+
+
+def rating_to_evidence(rating):
+    """A rating as ten transactions at its normalized value: ⟨10v, 10(1−v)⟩."""
+    return Evidence(*_feedback_evidence(normalize_rating(rating)))
 
 
 class TestRatingToEvidence:
@@ -219,7 +224,7 @@ def _replay_experiment(records, configs):
                         pred = _replay_mean(values[:i], config)
                     total += abs(pred - values[i])
                 if config.mode is HistoryMode.TRUST_IN_HISTORY:
-                    state = history_update(state, rating_to_evidence(rating)).state
+                    state = history_update(state, rating_to_evidence(rating))
             rows.append((seller, config.mode, total / (len(values) - 1)))
     return rows
 

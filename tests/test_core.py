@@ -1,22 +1,35 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
+from scipy.special import betainc  # test-only oracle (the test extra)
 
-from conftest import Tolerance, certainty_by_quadrature, integrate
+import evitrust
+from conftest import DEFAULT_TOLERANCE, Tolerance, certainty_by_quadrature, integrate
 from evitrust.core import (
     MAX_EVIDENCE_TOTAL,
     Belief,
     Evidence,
+    _excess,
+    _log_crossings,
     certainty,
     expected_quality,
     from_belief,
+    log_beta,
     pcdf,
     to_belief,
 )
-from evitrust import core
+from evitrust import core, simulation
+from evitrust.amazon import synthesize_feedback
+from evitrust.cli import cli_main
 from evitrust.errors import ConvergenceError
 
 
@@ -355,6 +368,65 @@ class TestFromBeliefSolve:
         assert crossings == []
 
 
+class TestCrossingNewtonBudget:
+    """A crossing solve that runs out of Newton steps raises, naming its
+    shapes, instead of returning an unconverged crossing.  Each crossing of
+    ⟨3, 4⟩ takes 4 steps, so a budget of 2 runs out."""
+
+    def test_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(core, "_MAX_NEWTON_STEPS", 2)
+        core._certainty.cache_clear()
+        with pytest.raises(ConvergenceError, match=r"in 2 Newton steps for a=3\.0, b=4\.0"):
+            certainty(Evidence(3.0, 4.0))
+
+    def test_cli_exits_with_the_numeric_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(core, "_MAX_NEWTON_STEPS", 2)
+        core._certainty.cache_clear()
+        assert cli_main(["certainty", "3", "4"]) == 3
+        assert "unit crossing of x**a * (1 - x)**b did not converge" in capsys.readouterr().err
+
+
+# The seed-0 kernel work of the benchmark's three workloads and of a referrer
+# and a TrustInHistory run, through the CLI, as (kernel evaluations, kernel
+# cache hits, CF tails, crossing solves, secant solves).  FEEDBACK stands for
+# the benchmark's feedback file, 2 sellers × 1000 synthesized feedbacks.
+_WORK_BUDGETS = {
+    "combine": ("simulate --experiment combine --timesteps 300 --switch 150 --tx 50",
+                (3501, 1194, 6702, 6702, 607)),
+    "amazon": ("amazon --input FEEDBACK", (1998, 1998, 3976, 3976, 0)),
+    "referrer": ("simulate --experiment referrer --profile rumor:50,10",
+                 (602, 236, 1134, 1134, 107)),
+    "history": ("simulate --experiment history --mode TrustInHistory",
+                (101, 199, 196, 196, 0)),
+    "sweep": ("sweep --experiment history --profiles probability:0.9,periodic "
+              "--beta-grid 0:1:0.05 --seeds 5", (0, 0, 0, 0, 0)),
+}
+_GOLDEN_NUMPY = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "manifest.json").read_text("utf-8"))["numpy"]
+
+
+@pytest.mark.skipif(np.__version__ != _GOLDEN_NUMPY,
+                    reason=f"counted under numpy {_GOLDEN_NUMPY}, as the goldens were made")
+@pytest.mark.parametrize("run", list(_WORK_BUDGETS))
+def test_work_budget(monkeypatch, tmp_path, run):
+    """The kernel work of a run is exact: a change that moves it says so.
+    Evaluations are the memoized kernel's misses from an empty cache; the
+    other counts are calls that core makes through its own globals."""
+    command, budget = _WORK_BUDGETS[run]
+    feedback = tmp_path / "feedback.csv"
+    if "FEEDBACK" in command:
+        feedback.write_text("seller_id,t,rating\n" + "".join(
+            f"{r.seller_id},{r.t},{r.rating}\n" for r in synthesize_feedback(2, 1000, seed=0)))
+    calls = [_counting(monkeypatch, name)
+             for name in ("_beta_cf", "_log_crossing", "_solve_log_total")]
+    core._certainty.cache_clear()
+    simulation._grid_errors.cache_clear()
+    argv = command.replace("FEEDBACK", str(feedback)).split()
+    assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 0
+    kernel = core._certainty.cache_info()
+    assert (kernel.misses, kernel.hits, *map(len, calls)) == budget
+
+
 class TestBeliefConversion:
     def test_no_evidence_maps_to_vacuous(self):
         assert to_belief(Evidence(0, 0)) == Belief(0.0, 0.0, 1.0)
@@ -407,3 +479,163 @@ class TestBeliefConversion:
 def test_belief_rejects_non_finite_component(components):
     with pytest.raises(ValueError, match="must be finite"):
         Belief(*components)
+
+
+class TestLogBeta:
+    def test_uniform_normalizer(self):
+        assert log_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_integer_case_three_four(self):
+        # B(3, 4) = 2!·3!/6! = 1/60
+        assert log_beta(3.0, 4.0) == pytest.approx(math.log(1.0 / 60.0), abs=1e-12)
+
+    def test_factorial_identity_integer_grid(self):
+        for r in range(0, 21):
+            for s in range(0, 21):
+                expected = (
+                    math.lgamma(r + 1) + math.lgamma(s + 1) - math.lgamma(r + s + 2)
+                )
+                got = log_beta(r + 1.0, s + 1.0)
+                assert math.exp(got) == pytest.approx(
+                    math.factorial(r) * math.factorial(s) / math.factorial(r + s + 1),
+                    rel=1e-9,
+                )
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_fractional_case_vs_quadrature(self):
+        # B(2.1, 1.9) = ∫ x^1.1 (1-x)^0.9 dx, checked against the quadrature oracle
+        oracle = integrate(
+            lambda x: x**1.1 * (1.0 - x) ** 0.9, 0.0, 1.0, Tolerance(1e-12, 40)
+        )
+        assert math.exp(log_beta(2.1, 1.9)) == pytest.approx(oracle, abs=1e-9)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            log_beta(0.0, 1.0)
+        with pytest.raises(ValueError):
+            log_beta(1.0, -2.0)
+
+    @pytest.mark.parametrize("a,b", [(1e308, 1e308), (1e308, 2.0), (2.0, 3e305)])
+    def test_lgamma_overflow_is_value_error_naming_the_arguments(self, a, b):
+        with pytest.raises(ValueError, match=re.escape(f"a={a!r}, b={b!r}")):
+            log_beta(a, b)
+
+    def test_overflow_reaches_callers_as_value_error(self):
+        big = Evidence(1e308, 1e308)
+        with pytest.raises(ValueError, match="log_beta overflows"):
+            certainty(big)
+
+
+def _crossing_cases():
+    """400 log-uniform pairs with totals up to 1e6, plus one-sided and
+    near-one-sided edges (a right crossing at 1 − 1e-289, a subnormal count)."""
+    rng = np.random.default_rng(20261018)
+    pairs = []
+    for _ in range(400):
+        r, s = 10.0 ** rng.uniform(-6.0, 6.0, size=2)
+        scale = min(1.0, 1e6 / (r + s))
+        pairs.append((r * scale, s * scale))
+    pairs += [(8608.0, 0.0138), (2.0, 5e-324), (1.1e-4, 1.95e5), (6.7e5, 6.5e-4)]
+    pairs += [(n, 0.0) for n in (1e-6, 0.37, 1.0, 45.0, 8608.0, 1e6)]
+    return pairs
+
+
+def _unit_crossings(r, s):
+    """(t, a, b) at each unit crossing x = eᵗ of the density of ⟨r, s⟩ ≠ ⟨0, 0⟩.
+
+    The left crossing x_lo comes with its tail's shapes (r+1, s+1), and the
+    right one as w = 1 − x_hi with (s+1, r+1).  One-sided evidence has only
+    one, at (n+1)^(−1/n) on the side of its count.  There are none when the
+    density never rises above uniform (only by rounding, at tiny totals).
+    """
+    if r == 0.0 or s == 0.0:
+        n = r + s
+        logs = [-math.log1p(n) / n]
+        shapes = [(n + 1.0, 1.0)]
+    else:
+        logs = _log_crossings(r, s) or []
+        shapes = [(r + 1.0, s + 1.0), (s + 1.0, r + 1.0)]
+    return [(t, a, b) for t, (a, b) in zip(logs, shapes)]
+
+
+class TestCrossingTail:
+    """The continued-fraction tail against scipy's betainc (TOMS 708), a
+    test-only oracle, at the unit crossings where certainty evaluates it."""
+
+    def test_matches_betainc_at_unit_crossings(self):
+        checked = 0
+        for r, s in _crossing_cases():
+            for t, a, b in _unit_crossings(r, s):
+                x = math.exp(t)
+                want = x - float(betainc(a, b, x))
+                assert abs(_excess(t, a, b) - want) <= 1e-12, (r, s, x)
+                checked += 1
+        assert checked > 800
+
+    def test_mirror_past_the_switch_point_matches_betainc(self):
+        # No evidence tail has been seen past (a+1)/(a+b+2), so take shapes
+        # below the evidence domain (b < 1, an increasing density), whose
+        # unit crossing lies past it.
+        a, b = 2.0, 0.5
+        lb = log_beta(a, b)
+        t = brentq(lambda t: (a - 1.0) * t + (b - 1.0) * math.log(-math.expm1(t)) - lb,
+                   math.log(0.5), math.log(0.99), xtol=1e-15, rtol=1e-15)
+        x = math.exp(t)
+        assert x * (a + b + 2.0) >= a + 1.0
+        assert abs(_excess(t, a, b) - (x - float(betainc(a, b, x)))) <= 1e-12
+
+    def test_shape_beyond_step_cap_raises(self):
+        with pytest.raises(ConvergenceError, match="continued fraction"):
+            core._beta_cf(0.5, 1e14, 1e14)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evitrust.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, evitrust.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestIntegrate:
+    def test_constant(self):
+        assert integrate(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_beta_moment(self):
+        assert integrate(lambda x: x**2 * (1 - x) ** 3, 0.0, 1.0) == pytest.approx(
+            1.0 / 60.0, abs=1e-9
+        )
+
+    def test_kinked_absolute_value(self):
+        assert integrate(lambda x: abs(2.0 * x - 1.0), 0.0, 1.0) == pytest.approx(
+            0.5, abs=1e-9
+        )
+
+    def test_empty_interval(self):
+        assert integrate(lambda x: 42.0, 0.7, 0.7) == 0.0
+
+    def test_reversed_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            integrate(lambda x: 1.0, 1.0, 0.0)
+
+    def test_non_convergence_carries_best_estimate(self):
+        # A step at an off-grid point starves the subdivision budget.
+        step = lambda x: 0.0 if x < 1.0 / math.pi else 1.0
+        true_value = 1.0 - 1.0 / math.pi
+        with pytest.raises(ConvergenceError) as exc_info:
+            integrate(step, 0.0, 1.0, Tolerance(1e-13, 8))
+        assert exc_info.value.best_estimate == pytest.approx(true_value, abs=1e-2)
+
+    def test_fractional_power_endpoint(self):
+        # x^0.151 has unbounded derivative at 0; must still converge.
+        got = integrate(lambda x: x**0.151, 0.0, 1.0, DEFAULT_TOLERANCE)
+        assert got == pytest.approx(1.0 / 1.151, abs=1e-8)
+
+
+class TestTolerance:
+    def test_rejects_bad_values(self):
+        with pytest.raises(ValueError):
+            Tolerance(abs_tol=0.0)
+        with pytest.raises(ValueError):
+            Tolerance(abs_tol=-1e-9)
+        with pytest.raises(ValueError):
+            Tolerance(max_subdivisions=0)

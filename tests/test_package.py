@@ -23,9 +23,19 @@ def test_every_module_but_the_cli_is_a_layer():
     assert modules - {"cli"} == {module.__name__.rpartition(".")[2] for module in _LAYERS}
 
 
-def test_readme_layout_lists_every_module():
+def _readme_block(heading):
+    """The first fenced block under a README heading, without its fences."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    layout = readme.split("## Layout", 1)[1].split("```")[1]
-    listed = re.findall(r"^  (\w+)\.py ", layout, re.MULTILINE)
+    return readme.split(heading, 1)[1].split("```")[1]
+
+
+def test_readme_layout_lists_every_module():
+    listed = re.findall(r"^  (\w+)\.py ", _readme_block("## Layout"), re.MULTILINE)
     modules = [info.name for info in pkgutil.iter_modules(evitrust.__path__)]
     assert sorted(listed) == sorted(modules)
+
+
+def test_readme_quick_tour_runs():
+    language, _, tour = _readme_block("## Library quick tour").partition("\n")
+    assert language == "python"
+    exec(compile(tour, "README.md quick tour", "exec"), {})

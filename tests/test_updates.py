@@ -10,7 +10,6 @@ from evitrust.propagation import aggregate
 from evitrust.simulation import ExperimentConfig
 from evitrust.updates import (
     HistoryState,
-    HistoryUpdate,
     UpdateConfig,
     UpdateMethod,
     accuracy_average,
@@ -26,23 +25,19 @@ from evitrust.updates import _peak_ratio
 
 class TestGeneralUpdate:
     def test_full_forgetting_ignores_prior(self):
-        out = general_update(0.7, 0.3, 1.0, 0.5, Evidence(100, 100))
+        out = general_update(0.7, 1.0, 0.5, Evidence(100, 100))
         assert out.r == pytest.approx(0.35)
         assert out.s == pytest.approx(0.15)
 
     def test_perfect_confident_estimate_no_forgetting(self):
-        out = general_update(1.0, 0.0, 0.0, 1.0, Evidence(4, 2))
+        out = general_update(1.0, 0.0, 1.0, Evidence(4, 2))
         assert out.r == pytest.approx(5.0)
         assert out.s == pytest.approx(2.0)
 
     def test_zero_certainty_scales_prior_only(self):
-        out = general_update(0.5, 0.5, 0.25, 0.0, Evidence(8, 4))
+        out = general_update(0.5, 0.25, 0.0, Evidence(8, 4))
         assert out.r == pytest.approx(6.0)
         assert out.s == pytest.approx(3.0)
-
-    def test_rejects_inconsistent_split(self):
-        with pytest.raises(ValueError):
-            general_update(0.7, 0.7, 0.5, 0.5, Evidence(1, 1))
 
     @given(
         q=st.floats(0.0, 1.0),
@@ -53,9 +48,9 @@ class TestGeneralUpdate:
     )
     @settings(max_examples=100, deadline=None)
     def test_linear_in_prior(self, q, beta, c, r, s):
-        base = general_update(q, 1.0 - q, beta, c, Evidence(0, 0))
-        single = general_update(q, 1.0 - q, beta, c, Evidence(r, s))
-        double = general_update(q, 1.0 - q, beta, c, Evidence(2 * r, 2 * s))
+        base = general_update(q, beta, c, Evidence(0, 0))
+        single = general_update(q, beta, c, Evidence(r, s))
+        double = general_update(q, beta, c, Evidence(2 * r, 2 * s))
         assert double.r - base.r == pytest.approx(2 * (single.r - base.r), rel=1e-9, abs=1e-9)
         assert double.s - base.s == pytest.approx(2 * (single.s - base.s), rel=1e-9, abs=1e-9)
 
@@ -289,15 +284,15 @@ class TestHistoryUpdate:
     def test_empty_history_contributes_nothing(self):
         upd = history_update(HistoryState(), Evidence(45, 5))
         # carried had certainty 0, so the trust is untouched and the
-        # combined evidence is the observation alone
-        assert upd.state.history_trust == Evidence(0.9, 0.1)
-        assert upd.combined == Evidence(45.0, 5.0)
+        # new carried evidence is the observation alone
+        assert upd.history_trust == Evidence(0.9, 0.1)
+        assert upd.carried == Evidence(45.0, 5.0)
 
     def test_empty_observation_is_identity(self):
         state = HistoryState(Evidence(40, 10), Evidence(2, 1))
         upd = history_update(state, Evidence(0, 0))
-        assert upd.state == state
-        assert upd.combined == state.carried
+        assert upd == state
+        assert upd.carried == state.carried
         assert upd.discount == pytest.approx(2.0 / 3.0)
 
     def test_consistent_behavior_raises_discount(self):
@@ -306,7 +301,7 @@ class TestHistoryUpdate:
         for _ in range(12):
             upd = history_update(state, Evidence(45, 5))
             discounts.append(upd.discount)
-            state = upd.state
+            state = upd
         assert all(b >= a - 1e-12 for a, b in zip(discounts[1:], discounts[2:]))
         assert discounts[-1] > 0.9
 
@@ -320,9 +315,8 @@ class TestHistoryUpdate:
     def test_combined_applies_discount_to_carried(self):
         state = HistoryState(Evidence(40, 10), Evidence(9, 1))
         upd = history_update(state, Evidence(25, 25))
-        assert upd.combined.r == pytest.approx(25 + upd.discount * 40, abs=1e-9)
-        assert upd.combined.s == pytest.approx(25 + upd.discount * 10, abs=1e-9)
-        assert upd.state.carried == upd.combined
+        assert upd.carried.r == pytest.approx(25 + upd.discount * 40, abs=1e-9)
+        assert upd.carried.s == pytest.approx(25 + upd.discount * 10, abs=1e-9)
 
     def test_transposed_variant_swaps_sides(self):
         def transposed_update(state, observed):
@@ -339,16 +333,16 @@ class TestHistoryUpdate:
                 observed.r + discount * state.carried.r,
                 observed.s + discount * state.carried.s,
             )
-            return HistoryUpdate(combined, HistoryState(combined, trust), discount)
+            return HistoryState(combined, trust)
 
         state = HistoryState(Evidence(45, 5), Evidence(0.9, 0.1))
         obs = Evidence(45, 5)
         normal = history_update(state, obs)
         swapped = transposed_update(state, obs)
-        dr_n = normal.state.history_trust.r - 0.9
-        ds_n = normal.state.history_trust.s - 0.1
-        dr_s = swapped.state.history_trust.r - 0.9
-        ds_s = swapped.state.history_trust.s - 0.1
+        dr_n = normal.history_trust.r - 0.9
+        ds_n = normal.history_trust.s - 0.1
+        dr_s = swapped.history_trust.r - 0.9
+        ds_s = swapped.history_trust.s - 0.1
         assert dr_n == pytest.approx(ds_s, abs=1e-12)
         assert ds_n == pytest.approx(dr_s, abs=1e-12)
         # consistency must *lower* the discount under the transposed variant
@@ -425,9 +419,9 @@ class TestOneUpdateStep:
                                 Evidence(*observed), report=state.carried,
                                 prior=state.history_trust)
         upd = history_update(state, Evidence(*observed))
-        assert upd.state.history_trust == ghost
+        assert upd.history_trust == ghost
         assert upd.discount == expected_quality(ghost)
-        assert upd.combined == aggregate(Evidence(*observed), state.carried.scaled(upd.discount))
+        assert upd.carried == aggregate(Evidence(*observed), state.carried.scaled(upd.discount))
 
 
 class TestConfigMethod:
@@ -444,8 +438,8 @@ class TestConfigMethod:
 @pytest.mark.parametrize("check,match", [
     (lambda: UpdateConfig(beta=1.5), "beta must be in"),
     (lambda: HistoryState(history_trust=Evidence(0, 0)), "positive total"),
-    (lambda: general_update(1.5, -0.5, 0.2, 0.5, Evidence(1, 1)), "q must be in"),
-    (lambda: general_update(0.5, 0.5, 0.2, 1.5, Evidence(1, 1)), "c_prime must be in"),
+    (lambda: general_update(1.5, 0.2, 0.5, Evidence(1, 1)), "q must be in"),
+    (lambda: general_update(0.5, 0.2, 1.5, Evidence(1, 1)), "c_prime must be in"),
     (lambda: accuracy_linear(1.5, 0.5), "alpha must be in"),
 ])
 def test_input_checks_raise(check, match):
