@@ -17,7 +17,8 @@ runs with the same seed produce byte-identical files.
 
 The flags' defaults and bounds come from the library where it owns them:
 ``ExperimentConfig`` and ``UpdateConfig`` give the run and update defaults,
-and ``simulation`` bounds transaction counts and seeds.
+``core.MAX_EVIDENCE_TOTAL`` bounds --tx and a run's evidence, --tx ×
+--timesteps, and ``simulation`` bounds seeds.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple, Type, Union, get_args
 
 from .amazon import AmazonConfig, load_feedback_csv, parse_feedback_csv, run_amazon_experiment
-from .core import Evidence, certainty, expected_quality
+from .core import MAX_EVIDENCE_TOTAL, Evidence, certainty, expected_quality
 from .errors import ConvergenceError, FeedbackFormatError
 from .simulation import (
     _MAX_SEED,
-    _MAX_TRANSACTIONS,
     _PROFILES,
     ExperimentConfig,
     HistoryMode,
@@ -125,6 +125,10 @@ def _int_in(least: int, most: int, shown: Optional[str] = None) -> Callable[[str
 # A run holds about 1.1–1.8 KB per step (peak RSS is 255 MB for a 2×10⁵-step
 # history run and 210 MB for a 10⁵-step combine run), so 10⁶ take up to 1.8 GB.
 _MAX_TIMESTEPS = 10**6
+# A sweep runs its seeds one at a time and never lists them, so their count
+# is bounded only as a signed 64-bit integer (and seed + seeds − 1 by
+# _MAX_SEED).
+_MAX_SEEDS = 2**63 - 1
 # The largest seed, as messages write it.
 _MAX_SEED_SHOWN = f"2**{_MAX_SEED.bit_length()} - 1"
 
@@ -302,7 +306,7 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
                        help="forgetting rate (referrer, combine and FixedBeta history; "
                        f"default {_RUN.beta})")
         p.add_argument("--timesteps", type=_int_in(1, _MAX_TIMESTEPS), default=_RUN.timesteps)
-        p.add_argument("--tx", type=_int_in(1, _MAX_TRANSACTIONS), default=_RUN.tx_per_step,
+        p.add_argument("--tx", type=_int_in(1, int(MAX_EVIDENCE_TOTAL)), default=_RUN.tx_per_step,
                        help="transactions per step (default %(default)s)")
         p.add_argument("--switch", type=int, help="corruption step (combine; default "
                        f"{_RUN_FLAGS['simulate', 'combine']['switch']})")
@@ -316,10 +320,10 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
                        help=f"referrer update (referrer; default {_RUN.method.value})")
         p.add_argument("--mode", type=_parse_mode, help=f"{_MODES} (history; default "
                        f"{_RUN_FLAGS['sweep', 'history']['mode'].value})")
-        p.add_argument("--seeds", type=_int_in(1, _MAX_TRANSACTIONS), default=5,
+        p.add_argument("--seeds", type=_int_in(1, _MAX_SEEDS), default=5,
                        help="seeds averaged per grid point (default %(default)s)")
         p.add_argument("--timesteps", type=_int_in(1, _MAX_TIMESTEPS), default=_RUN.timesteps)
-        p.add_argument("--tx", type=_int_in(1, _MAX_TRANSACTIONS), default=_RUN.tx_per_step)
+        p.add_argument("--tx", type=_int_in(1, int(MAX_EVIDENCE_TOTAL)), default=_RUN.tx_per_step)
 
     if p := add("amazon", "feedback-prediction error table", "--format"):
         p.add_argument("--input", default=None, metavar="FILE",
@@ -389,10 +393,16 @@ def _read_run_flags(args) -> List[str]:
 
 
 def _experiment_config(args, **overrides) -> ExperimentConfig:
-    """The run's config; --method and --beta, when unread, keep its defaults."""
+    """The run's config; --method and --beta, when unread, keep its defaults.
+
+    Every field but the run's evidence, --tx × --timesteps, was checked as
+    its flag parsed, so the config's ValueError is about those two flags."""
     base = dict(timesteps=args.timesteps, tx_per_step=args.tx, seed=args.seed)
     base.update((k, v) for k, v in vars(args).items() if k in ("method", "beta") and v is not None)
-    return ExperimentConfig(**{**base, **overrides})
+    try:
+        return ExperimentConfig(**{**base, **overrides})
+    except ValueError as exc:
+        raise _UsageError(f"--tx and --timesteps: {exc}") from None
 
 
 def _require_behavior_profiles(*profiles) -> None:

@@ -35,8 +35,8 @@ Numerical Recipes §6.4 (DLMF 8.17.22),
 
 which converges fast for x below (a+1)/(a+b+2); above it the mirror
 I_x(a, b) = 1 − I_{1−x}(b, a) is taken.  Density work is done in log space
-on top of :func:`log_beta`, which keeps evidence totals up to 1e6
-representable without overflow.
+on top of :func:`log_beta`.  Every evidence total lies in the one domain
+[0, :data:`MAX_EVIDENCE_TOTAL`]: :class:`Evidence` refuses a larger one.
 
 The belief-space view is a triple ⟨b, d, u⟩ (belief, disbelief, uncertainty)
 summing to 1.  The two views are linked by α = r/(r+s) and c:
@@ -80,9 +80,22 @@ __all__ = [
     "MAX_EVIDENCE_TOTAL",
 ]
 
-# from_belief searches totals in [0, MAX_EVIDENCE_TOTAL]; larger totals are
-# out of supported range (their certainty is indistinguishable from 1 anyway).
-MAX_EVIDENCE_TOTAL = 1e6
+# The one bound on evidence: Evidence refuses a total r + s above it, and
+# from_belief searches totals in [0, MAX_EVIDENCE_TOTAL].  Up to it, certainty
+# is within 1e-10 of 50-digit references (1.1e-11 at 1e9; see
+# tools/certainty_reference.py), and no rounding of log_beta can cancel a
+# peak density (see _log_crossings).  Past it the lgamma cancellation grows
+# (2.1e-10 at 1e12, 3.9e-9 at 1e13, at α = 0.5..0.99), and near 1e16 it
+# loses the peak.  The plain-float totals of the drivers stay under it too:
+# - referrer and combine reports go through Evidence;
+# - a trust grows by at most 1 per step (c′ <= 1), and the CLI runs at most
+#   10⁶ steps;
+# - a history run carries at most tx_per_step × timesteps, which
+#   ExperimentConfig bounds by this constant;
+# - a discounted path never carries more than its report: discounting lowers
+#   the certainty and keeps α;
+# - a feedback fold carries at most 10 per feedback.
+MAX_EVIDENCE_TOTAL = 1e9
 
 # Iteration caps; convergence takes at most 4 Newton steps per crossing and
 # about 4 certainty evaluations per inverse.
@@ -108,7 +121,9 @@ class Evidence:
     """Trust as evidence: ⟨r, s⟩ positive/negative outcome counts.
 
     Counts are real-valued: discounting and certainty weighting produce
-    fractional evidence as a matter of course.
+    fractional evidence as a matter of course.  They must be non-negative,
+    with a total of at most :data:`MAX_EVIDENCE_TOTAL`; anything else,
+    including a count that is nan or infinite, is a ValueError.
     """
 
     r: float
@@ -116,10 +131,11 @@ class Evidence:
 
     def __post_init__(self):
         r, s = float(self.r), float(self.s)
-        if not (math.isfinite(r) and math.isfinite(s)):
-            raise ValueError(f"evidence counts must be finite, got r={self.r}, s={self.s}")
         if r < 0 or s < 0:
             raise ValueError(f"evidence counts must be non-negative, got r={self.r}, s={self.s}")
+        if not r + s <= MAX_EVIDENCE_TOTAL:
+            raise ValueError(f"evidence total r + s must be at most {MAX_EVIDENCE_TOTAL:g}, "
+                             f"got r={self.r}, s={self.s}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
 
@@ -178,9 +194,6 @@ def _quality(r: float, s: float) -> float:
     total = r + s
     if total == 0:
         return 0.5
-    if total == math.inf:
-        # Finite counts whose sum overflows: halving both keeps their ratio exactly.
-        return r * 0.5 / (r * 0.5 + s * 0.5)
     return r / total
 
 
@@ -267,9 +280,9 @@ def _log_pcdf(r: float, s: float, x: float) -> float:
 def pcdf(e: Evidence, x: float) -> float:
     """The evidence density f(x) = xʳ(1−x)ˢ / B(r+1, s+1), for x in (0, 1).
 
-    Computed in log space so totals up to 1e6 neither overflow nor underflow
-    prematurely.  Integrates to 1 over [0, 1]; uniform when there is no
-    evidence.
+    Computed in log space, so that no total up to :data:`MAX_EVIDENCE_TOTAL`
+    overflows or underflows prematurely.  Integrates to 1 over [0, 1];
+    uniform when there is no evidence.
     """
     if not (0.0 < x < 1.0):
         raise ValueError(f"pcdf is defined on the open interval (0, 1), got x={x}")
@@ -408,8 +421,12 @@ def _excess(t: float, a: float, b: float) -> float:
 def _log_crossings(r: float, s: float) -> Optional[Tuple[float, float]]:
     """(log x_lo, log(1 − x_hi)) for the unit crossings of the density of
     ⟨r, s⟩ with r, s > 0; None when the density never rises above uniform
-    (only by rounding, at tiny totals).  From a total of 1 on, the peak
-    density is at least 1.27, so there that rounding raises ValueError.
+    (only by rounding, at totals far below 1).
+
+    From a total of 1 on, the peak density is at least 4/π ≈ 1.27 (at
+    ⟨½, ½⟩), so its log, the height below, is at least 0.24.  Up to
+    :data:`MAX_EVIDENCE_TOTAL` rounding cannot cancel that: at 1e9 the
+    lgamma terms of lbeta are about 2e10, so they round by about 1e-5.
     """
     n = r + s
     lbeta = log_beta(r + 1.0, s + 1.0)
@@ -420,9 +437,6 @@ def _log_crossings(r: float, s: float) -> Optional[Tuple[float, float]]:
     u_peak = math.log(s) - log_n
     height = -lbeta + r * t_peak + s * u_peak
     if height <= 0.0:
-        if n >= 1.0:
-            raise ValueError(f"the certainty of evidence r={r!r}, s={s!r} is lost to rounding: "
-                             "its peak density cancels to at most 1")
         return None
     return (_log_crossing(r, s, lbeta, t_peak, height),
             _log_crossing(s, r, lbeta, u_peak, height))
@@ -580,7 +594,9 @@ def from_belief(t: Belief) -> Evidence:
     most :data:`MAX_EVIDENCE_TOTAL`: a dogmatic belief (u = 0) has no finite
     evidence.  Raises :class:`ConvergenceError`, naming the belief and α,
     when the certainty at MAX_EVIDENCE_TOTAL falls short of 1−u by more than
-    1e-9; within 1e-9 the total is MAX_EVIDENCE_TOTAL.
+    1e-9.  Within 1e-9 the total is the search's right end,
+    exp(log MAX_EVIDENCE_TOTAL), which rounds 6 ulps below the bound: the
+    shares of α may round up by an ulp, and the counts' sum stays within it.
     """
     return Evidence(*_from_belief(t.b, t.d, t.u))
 
@@ -626,7 +642,5 @@ def _from_belief(b: float, d: float, u: float) -> Tuple[float, float]:
             f"for {what()}",
             best_estimate=best,
         )
-    # At the right end, exp(log MAX_EVIDENCE_TOTAL) would round below it.
-    log_max = math.log(MAX_EVIDENCE_TOTAL)
-    total = MAX_EVIDENCE_TOTAL if log_total == log_max else math.exp(log_total)
+    total = math.exp(log_total)
     return share_r * total, share_s * total

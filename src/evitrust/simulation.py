@@ -62,7 +62,7 @@ import numpy as np
 # package, so that the first draw does not pay for the import.
 import numpy.random
 
-from .core import Evidence, _belief, _quality, certainty, expected_quality
+from .core import MAX_EVIDENCE_TOTAL, Evidence, _belief, _quality, certainty, expected_quality
 from .propagation import _combine, aggregate
 from .updates import _NO_HISTORY, UpdateConfig, _fold, _update
 
@@ -190,9 +190,7 @@ def behavior_sequence(
     raise TypeError(f"unknown behavior profile: {profile!r}")
 
 
-# numpy's binomial takes the transaction count as a signed 64-bit integer,
-# and a run's seed is an unsigned one.
-_MAX_TRANSACTIONS = 2**63 - 1
+# A run's seed is an unsigned 64-bit integer.
 _MAX_SEED = 2**64 - 1
 
 
@@ -221,6 +219,15 @@ Honest = Truthful
 
 @dataclass(frozen=True)
 class Rumor:
+    """Reports its experience scaled by ``exaggeration`` past ``switch_step``.
+
+    A scaled report is an ``Evidence``, so its total must stay within
+    :data:`~evitrust.core.MAX_EVIDENCE_TOTAL`.  In run_referrer_experiment a
+    report past the switch is one step's ``_REFERRER_TX_PER_STEP`` = 5
+    transactions, so a factor above ``MAX_EVIDENCE_TOTAL / 5`` (2e8) raises
+    ``ValueError`` at the first step past the switch.
+    """
+
     switch_step: int = 50
     exaggeration: float = 10.0
 
@@ -298,8 +305,11 @@ class ExperimentConfig(UpdateConfig):
     """Shared knobs of the experiment drivers.
 
     ``tx_per_step`` is the number of transactions the client observes per
-    timestep.  The inherited ``method`` and ``beta`` select the referrer
-    update; the history experiment reads ``beta`` in FixedBeta mode only.
+    timestep.  A run's evidence, ``tx_per_step × timesteps`` (all of it
+    carried in Amazon mode), must be at most
+    :data:`~evitrust.core.MAX_EVIDENCE_TOTAL`.  The inherited ``method`` and
+    ``beta`` select the referrer update; the history experiment reads
+    ``beta`` in FixedBeta mode only.
     """
 
     timesteps: int = 100
@@ -310,8 +320,11 @@ class ExperimentConfig(UpdateConfig):
         super().__post_init__()
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
-        if not 1 <= self.tx_per_step <= _MAX_TRANSACTIONS:
-            raise ValueError(f"tx_per_step must be in [1, 2**63 - 1], got {self.tx_per_step}")
+        if self.tx_per_step < 1:
+            raise ValueError(f"tx_per_step must be >= 1, got {self.tx_per_step}")
+        if self.tx_per_step * self.timesteps > MAX_EVIDENCE_TOTAL:
+            raise ValueError(f"tx_per_step × timesteps must be at most {MAX_EVIDENCE_TOTAL:g}, "
+                             f"got {self.tx_per_step} × {self.timesteps}")
         if self.seed < 0 or self.seed > _MAX_SEED:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 

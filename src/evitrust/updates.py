@@ -181,11 +181,8 @@ def _peak_ratio(r: float, s: float, rp: float, sp: float) -> float:
 
     Both x and α take their logs from :func:`_log_shares`, from the counts
     where they round to 0 or 1, so that near-one-sided evidence neither
-    scores a far point as 1 nor its own peak as 0 or nan.  A total ⟨r, s⟩
-    that overflows has no peak to divide by: it is a ValueError.
+    scores a far point as 1 nor its own peak as 0 or nan.
     """
-    if r + s == math.inf:
-        raise ValueError(f"the evidence total overflows: r={r!r}, s={s!r}")
     (log_x, log_1mx), (log_peak, log_1mpeak) = _log_shares(rp, sp), _log_shares(r, s)
     log_q = r * log_x - r * log_peak if r > 0.0 else 0.0
     if s > 0.0:
@@ -219,15 +216,8 @@ def accuracy_average(alpha: float, report: Evidence) -> float:
 def _average_accuracy(alpha: float, rp: float, sp: float) -> float:
     """:func:`accuracy_average` against a report of plain counts ⟨r′, s′⟩."""
     n = rp + sp + 2.0
-    if n < 1e100:
-        m = (rp + 1.0) / n
-        v = (rp + 1.0) * (sp + 1.0) / (n * n * (rp + sp + 3.0))
-    else:
-        # n, or n²(n + 1) and (r′ + 1)(s′ + 1), may overflow here.  The mean is
-        # the same float from halved counts, and a variance below 1e-100 moves
-        # no q, so it is left out.
-        m = (rp * 0.5 + 0.5) / (rp * 0.5 + sp * 0.5 + 1.0)
-        v = 0.0
+    m = (rp + 1.0) / n
+    v = (rp + 1.0) * (sp + 1.0) / (n * n * (rp + sp + 3.0))
     e = math.sqrt((alpha - m) ** 2 + v)
     return min(max(1.0 - e, 0.0), 1.0)
 

@@ -102,7 +102,7 @@ CASES = [
     # a peak ratio over evidence with no total
     "accuracy --method max-certainty --observed 0,0 --report 1,1",
     "accuracy --method sensitivity --observed 1,1 --report 0,0",
-    # evidence whose total overflows
+    # evidence whose total overflows, far past the evidence bound
     "accuracy --method linear --observed 1.7e308,1.7e308 --report 1,1",
     "accuracy --method average --observed 1,1 --report 1.7e308,1.7e308",
     # files that cannot be opened
@@ -113,6 +113,13 @@ CASES = [
       for p in ("random", "walk:0.2", "momentum:0.1,0.5") for n in (1, 2)),
     "sweep --profiles random,walk:0.2,momentum:0.1,0.5,probability:0.3 --beta-grid 0:1:0.5 "
     "--seeds 3",
+    # the evidence bound, 1e9: counts past it and at it, a run's --tx × --timesteps past it
+    # and at it, and a rumor that exaggerates its reports past it
+    "certainty 1e9 1",
+    "certainty 5e8 5e8",
+    "simulate --experiment history --tx 1000000 --timesteps 1001",
+    "simulate --experiment combine --timesteps 10 --switch 5 --tx 100000000",
+    "simulate --experiment referrer --profile rumor:1,1e300 --timesteps 3",
 ]
 FULL = [
     "simulate --experiment referrer --timesteps 60 --method LinearWS --profile rumor:20,10",

@@ -50,19 +50,22 @@ class TestCertaintyCommand:
         assert code == 2
         assert "non-negative" in err
 
-    @pytest.mark.parametrize("r,s", [("1e308", "1e308"), ("1e308", "1")])
-    def test_overflowing_evidence_is_one_line_data_error(self, capsys, r, s):
+    # Counts whose sum overflows, peaks that would cancel to rounding (1e16,
+    # 3e17), and the first totals past the bound.
+    @pytest.mark.parametrize("r,s", [("1e308", "1e308"), ("1e308", "1"), ("1e16", "1e16"),
+                                     ("3e17", "3e17"), ("1e9", "1"), ("1000000001", "0")])
+    def test_evidence_past_the_bound_is_one_line_data_error(self, capsys, r, s):
         code, out, err = run(capsys, "certainty", r, s)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: log_beta overflows") and err.count("\n") == 1
+        assert err == f"error: evidence total r + s must be at most 1e+09, got r={float(r)}, " \
+                      f"s={float(s)}\n"
 
-    @pytest.mark.parametrize("n", ["1e16", "3e17"])
-    def test_certainty_lost_to_rounding_is_one_line_data_error(self, capsys, n):
-        code, out, err = run(capsys, "certainty", n, n)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: the certainty of evidence r=") and err.count("\n") == 1
+    @pytest.mark.parametrize("r,s", [("5e8", "5e8"), ("1e9", "0"), ("999999999", "1")])
+    def test_evidence_at_the_bound_scores(self, capsys, r, s):
+        code, out, _ = run(capsys, "certainty", r, s)
+        assert code == 0
+        assert 0.99 < float(out) < 1.0
 
 
 class TestAccuracyCommand:
@@ -127,11 +130,14 @@ class TestAccuracyCommand:
                            "--observed", observed, "--report", report)
         assert (code, out) == (0, want + "\n")
 
-    def test_overflowing_total_is_data_error(self, capsys):
-        code, out, err = run(capsys, "accuracy", "--method", "max-certainty",
-                             "--observed", "1.7e308,1.7e308", "--report", "1,1")
+    @pytest.mark.parametrize("method", ["linear", "max-certainty", "sensitivity", "average"])
+    @pytest.mark.parametrize("observed,report", [("1.7e308,1.7e308", "1,1"),
+                                                 ("1,1", "1e9,1e-6")])
+    def test_total_past_the_bound_is_data_error(self, capsys, method, observed, report):
+        code, out, err = run(capsys, "accuracy", "--method", method,
+                             "--observed", observed, "--report", report)
         assert (code, out) == (2, "")
-        assert "overflows" in err
+        assert "must be at most 1e+09" in err
 
 
 class TestUpdateCommand:
@@ -474,11 +480,43 @@ class TestExitCodes:
         assert flag in err
         assert out == ""
 
-    def test_largest_tx_is_a_data_error(self, capsys):
-        code, out, _ = run(capsys, "simulate", "--experiment", "history", "--timesteps", "3",
-                           "--tx", str(2**63 - 1))
-        assert code == 2
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--experiment", "history"],
+        ["simulate", "--experiment", "referrer"],
+        ["simulate", "--experiment", "combine", "--switch", "1"],
+        ["sweep", "--profiles", "periodic", "--beta-grid", "0:1:0.5"],
+        ["sweep", "--experiment", "referrer", "--profiles", "truthful", "--beta-grid", "0:1:0.5"],
+    ])
+    def test_run_evidence_past_the_bound_is_usage_error_before_any_draw(
+            self, capsys, monkeypatch, argv):
+        """--tx × --timesteps is the evidence a run can carry (all of it in
+        Amazon mode), so past 1e9 the run does not start."""
+        import evitrust.simulation as simulation_mod
+
+        def no_draw(*args):
+            raise AssertionError("drew before checking the run's evidence")
+
+        monkeypatch.setattr(simulation_mod, "_streams", no_draw)
+        code, out, err = run(capsys, *argv, "--tx", "1000000", "--timesteps", "1001")
+        assert code == 1
+        assert err == ("error: --tx and --timesteps: tx_per_step × timesteps must be at most "
+                       "1e+09, got 1000000 × 1001\n")
         assert out == ""
+
+    def test_tx_past_the_bound_is_usage_error_naming_the_flag(self, capsys):
+        code, out, err = run(capsys, "simulate", "--experiment", "history", "--timesteps", "1",
+                             "--tx", "1000000001")
+        assert code == 1
+        assert err == "error: argument --tx: must be in [1, 1000000000], got 1000000001\n"
+        assert out == ""
+
+    def test_run_evidence_at_the_bound_runs(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--experiment", "history", "--mode", "Amazon",
+                           "--timesteps", "2", "--tx", "500000000")
+        assert code == 0
+        # In Amazon mode the trust state is the carried evidence: all of the run's.
+        last = list(csv.DictReader(io.StringIO(out)))[-1]
+        assert float(last["trust_r"]) + float(last["trust_s"]) == 1e9
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "x"])
     @pytest.mark.parametrize("argv", [
@@ -800,15 +838,35 @@ _EDGE_COMMANDS = [
     "amazon --lambda-grid 0:{}:0.5",
     "amazon --lambda-grid 0:1:{}",
 ]
-_EDGE_VALUES = ["nan", "inf", "-1", "0", str(2**63), str(2**64), "1e308"]
+_EDGE_VALUES = ["nan", "inf", "-1", "0", "1000000001", str(2**63), str(2**64), "1e308"]
+
+
+class _SecondSeed(Exception):
+    pass
 
 
 @pytest.mark.parametrize("value", _EDGE_VALUES)
 @pytest.mark.parametrize("command", _EDGE_COMMANDS)
-def test_edge_values_keep_the_exit_code_contract(capsys, command, value):
+def test_edge_values_keep_the_exit_code_contract(capsys, monkeypatch, command, value):
     """No input escapes as an exception: each exits 0, 1, 2 or 3, and a run
-    that fails writes nothing to stdout."""
-    code, out, err = run(capsys, *command.format(value).split())
+    that fails writes nothing to stdout.  A sweep that takes its --seeds is
+    stopped once its first seed has run, since 10⁹ seeds would run for days."""
+    import evitrust.cli as cli_mod
+
+    history_errors, calls = cli_mod.history_errors, []
+
+    def first_seed_only(*args):
+        if calls:
+            raise _SecondSeed
+        calls.append(args)
+        return history_errors(*args)
+
+    if "--seeds" in command:
+        monkeypatch.setattr(cli_mod, "history_errors", first_seed_only)
+    try:
+        code, out, err = run(capsys, *command.format(value).split())
+    except _SecondSeed:
+        return
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     if code != 0:

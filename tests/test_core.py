@@ -33,6 +33,10 @@ from evitrust.cli import cli_main
 from evitrust.errors import ConvergenceError
 
 
+# Finite non-negative counts, half of them drawn inside the evidence domain.
+_counts = st.floats(0.0, MAX_EVIDENCE_TOTAL) | st.floats(0.0, allow_infinity=False)
+
+
 class TestEvidence:
     def test_valid_construction(self):
         e = Evidence(2.5, 7.5)
@@ -45,6 +49,18 @@ class TestEvidence:
     def test_rejects_invalid(self, r, s):
         with pytest.raises(ValueError):
             Evidence(r, s)
+
+    @pytest.mark.parametrize("r,s", [(1e9, 1.0), (math.nextafter(1e9, math.inf), 0.0),
+                                     (5e8, 5e8 + 1.0), (1e16, 1e16), (1.7e308, 1.7e308)])
+    def test_refuses_a_total_past_the_bound_naming_counts_and_bound(self, r, s):
+        with pytest.raises(ValueError, match=re.escape(
+                f"evidence total r + s must be at most 1e+09, got r={r!r}, s={s!r}")):
+            Evidence(r, s)
+
+    @pytest.mark.parametrize("r,s", [(1e9, 0.0), (0.0, 1e9), (5e8, 5e8), (1e9 - 1.0, 1.0)])
+    def test_accepts_a_total_at_the_bound(self, r, s):
+        assert MAX_EVIDENCE_TOTAL == 1e9
+        assert Evidence(r, s).total == MAX_EVIDENCE_TOTAL
 
     def test_json_shape(self):
         assert Evidence(1.0, 2.0).to_dict() == {"r": 1.0, "s": 2.0}
@@ -81,17 +97,20 @@ class TestExpectedQuality:
     def test_190_60(self):
         assert expected_quality(Evidence(190, 60)) == pytest.approx(0.76)
 
-    def test_total_that_overflows(self):
-        assert Evidence(1.7e308, 1.7e308).total == math.inf
-        assert expected_quality(Evidence(1.7e308, 1.7e308)) == 0.5
+    def test_total_at_the_bound(self):
+        assert expected_quality(Evidence(5e8, 5e8)) == 0.5
         # Scaling by a power of two moves no ratio.
-        scaled = Evidence(1.7e308 / 2**64, 0.85e308 / 2**64)
-        assert expected_quality(Evidence(1.7e308, 0.85e308)) == expected_quality(scaled)
+        scaled = Evidence(1e9 / 3 / 2**64, 2e9 / 3 / 2**64)
+        assert expected_quality(Evidence(1e9 / 3, 2e9 / 3)) == expected_quality(scaled)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.floats(0.0, allow_infinity=False), st.floats(0.0, allow_infinity=False))
-    def test_every_finite_evidence_has_a_quality(self, r, s):
-        assert 0.0 <= expected_quality(Evidence(r, s)) <= 1.0
+    @given(_counts, _counts)
+    def test_evidence_in_the_domain_has_a_quality_and_past_it_is_refused(self, r, s):
+        if r + s > MAX_EVIDENCE_TOTAL:
+            with pytest.raises(ValueError, match=r"must be at most 1e\+09"):
+                Evidence(r, s)
+        else:
+            assert 0.0 <= expected_quality(Evidence(r, s)) <= 1.0
 
 
 class TestPcdf:
@@ -254,11 +273,43 @@ class TestCertaintyAcrossDomain:
         assert [certainty(Evidence(r, s)) for r, s in pairs] == first
 
     @pytest.mark.parametrize("n", [1e16, 3e17, 1e100])
-    def test_peak_lost_to_rounding_is_value_error_naming_the_counts(self, n):
-        # From a total of 1 on the peak density is at least 1.27, so a peak
-        # that cancels to at most 1 is rounding, not a certainty of 0.
-        with pytest.raises(ValueError, match=re.escape(f"r={n!r}, s={n!r}")):
+    def test_totals_whose_peak_would_cancel_are_refused(self, n):
+        # Near 1e16 log_beta's rounding cancels the whole peak height, which
+        # would read as a certainty of 0.
+        with pytest.raises(ValueError, match=re.escape(f"at most 1e+09, got r={n!r}, s={n!r}")):
             certainty(Evidence(n, n))
+
+    def test_peak_height_holds_its_floor_up_to_the_bound(self, monkeypatch):
+        """The kernel's log peak height −lbeta + r·t_peak + s·u_peak, as
+        _log_crossings hands it to the crossing solve, stays at or above
+        log 1.27 (the peak density is at least 4/π from a total of 1 on) on
+        a log grid of totals from 1 to 1e9, at α from 0.5 to 1 − 1e-12: the
+        rounding of lbeta, about 1e-5 at 1e9, cannot cancel it, and no
+        total in the domain needs _log_crossings' None."""
+        crossings = _counting(monkeypatch, "_log_crossing")
+        count = 0
+        for n in (10.0 ** (k / 8) for k in range(73)):
+            for alpha in (0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-12):
+                r = alpha * n
+                for pair in ((r, n - r), (n - r, r)):
+                    assert 0.0 < min(pair) and sum(pair) <= MAX_EVIDENCE_TOTAL
+                    assert _log_crossings(*pair) is not None
+                    count += 1
+        assert len(crossings) == 2 * count
+        assert min(args[4] for args in crossings) >= math.log(1.27) - 1e-4
+
+    def test_matches_50_digit_references_at_the_top_of_the_domain(self):
+        """Totals 1e6..1e9 at α = 0.5..0.99 and near-one-sided pairs, against
+        the table of tools/certainty_reference.py (mpmath at 50 digits).
+        The kernel's worst error there is 1.1e-11, at 1e9."""
+        table = Path(__file__).resolve().parent / "data" / "certainty_reference.csv"
+        lines = [line for line in table.read_text(encoding="utf-8").splitlines()
+                 if not line.startswith("#")]
+        rows = [[float.fromhex(v) for v in line.split(",")] for line in lines[1:]]
+        assert lines[0] == "r,s,certainty" and len(rows) == 49
+        assert max(r + s for r, s, _ in rows) == MAX_EVIDENCE_TOTAL
+        for r, s, want in rows:
+            assert abs(certainty(Evidence(r, s)) - want) <= 1e-10, (r, s)
 
     @pytest.mark.parametrize("n", [1e-15, 1e-20, 1e-300])
     def test_tiny_total_whose_peak_rounds_away_keeps_zero(self, n):
@@ -344,7 +395,9 @@ class TestFromBeliefSolve:
 
     # Beliefs whose certainty is that of MAX_EVIDENCE_TOTAL at α, plus δ.  At
     # α = 0.999 the secant steps past the right end, which it then evaluates.
-    @pytest.mark.parametrize("alpha,below", [(0.5, 999999.94562), (0.999, 999999.27341)])
+    # At 1e9 certainty resolves the total only to a relative 1e-6 or so (its
+    # error, up to about 1e-11, over a slope dc/d(log n) near 1e-5).
+    @pytest.mark.parametrize("alpha,below", [(0.5, 999999001.62), (0.999, 999980457.10)])
     def test_edge_of_the_range(self, alpha, below):
         c = certainty(Evidence(MAX_EVIDENCE_TOTAL * alpha, MAX_EVIDENCE_TOTAL * (1.0 - alpha)))
 
@@ -352,11 +405,24 @@ class TestFromBeliefSolve:
             target = c + delta
             return from_belief(Belief(alpha * target, (1.0 - alpha) * target, 1.0 - target))
 
-        # Within 1e-9 the total is MAX_EVIDENCE_TOTAL, not exp(log 1e6).
-        assert solve(0.0).total == solve(5e-10).total == MAX_EVIDENCE_TOTAL
-        assert solve(-1e-10).total == pytest.approx(below, abs=1e-5)
+        # Within 1e-9 the total is the search's right end, exp(log 1e9),
+        # 6 ulps below the bound.
+        assert solve(5e-10).total == math.exp(math.log(MAX_EVIDENCE_TOTAL)) < MAX_EVIDENCE_TOTAL
+        assert solve(0.0).total == pytest.approx(MAX_EVIDENCE_TOTAL, rel=1e-6)
+        assert solve(-1e-10).total == pytest.approx(below, rel=1e-6)
         with pytest.raises(ConvergenceError, match=r"reaches certainty .* for belief Belief\(b="):
             solve(2e-9)
+
+    def test_right_end_stays_within_the_bound(self):
+        """At the right end the shares b/(b+d) and d/(b+d) may round up, so
+        that they sum past 1 (at 8 of these 200 α); counts of exactly 1e9
+        times them would then be refused.  The right end's total,
+        exp(log 1e9), leaves room for that."""
+        for alpha in np.random.default_rng(5).uniform(0.0, 1.0, 200):
+            c = certainty(Evidence(MAX_EVIDENCE_TOTAL * alpha, MAX_EVIDENCE_TOTAL * (1.0 - alpha)))
+            target = c + 5e-10
+            e = from_belief(Belief(alpha * target, target - alpha * target, 1.0 - target))
+            assert e.total == pytest.approx(MAX_EVIDENCE_TOTAL, rel=1e-15), alpha
 
     @pytest.mark.parametrize("n", [1e-300, 1e-6, 0.37, 1.0, 45.0, 8608.0, 1e6])
     def test_one_sided_certainty_solves_no_crossing(self, monkeypatch, n):
@@ -520,10 +586,12 @@ class TestLogBeta:
         with pytest.raises(ValueError, match=re.escape(f"a={a!r}, b={b!r}")):
             log_beta(a, b)
 
-    def test_overflow_reaches_callers_as_value_error(self):
-        big = Evidence(1e308, 1e308)
-        with pytest.raises(ValueError, match="log_beta overflows"):
-            certainty(big)
+    def test_evidence_past_the_bound_never_reaches_it(self, monkeypatch):
+        # The overflow is for callers on raw floats: Evidence refuses first.
+        calls = _counting(monkeypatch, "log_beta")
+        with pytest.raises(ValueError, match=r"must be at most 1e\+09"):
+            certainty(Evidence(1e308, 1e308))
+        assert calls == []
 
 
 def _crossing_cases():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -156,11 +157,22 @@ class TestSampleTransactions:
         assert batched.bit_generator.state == scalar.bit_generator.state
         assert per_step.bit_generator.state == scalar.bit_generator.state
 
-    @pytest.mark.parametrize("n", [0, 2**63])
-    def test_count_outside_signed_64_bits_rejected(self, n):
-        # numpy's binomial takes n as a signed 64-bit integer.
-        with pytest.raises(ValueError, match="tx_per_step"):
-            ExperimentConfig(tx_per_step=n)
+    def test_zero_transactions_rejected(self):
+        with pytest.raises(ValueError, match="tx_per_step must be >= 1, got 0"):
+            ExperimentConfig(tx_per_step=0)
+
+    @pytest.mark.parametrize("tx,timesteps", [(10**9, 2), (10**7 + 1, 100), (2**63, 1)])
+    def test_run_evidence_past_the_bound_rejected(self, tx, timesteps):
+        # A run carries up to tx_per_step × timesteps evidence: all of it in
+        # Amazon mode.
+        with pytest.raises(ValueError, match=re.escape(
+                f"tx_per_step × timesteps must be at most 1e+09, got {tx} × {timesteps}")):
+            ExperimentConfig(tx_per_step=tx, timesteps=timesteps)
+
+    @pytest.mark.parametrize("tx,timesteps", [(10**9, 1), (10**7, 100), (1000, 10**6)])
+    def test_run_evidence_at_the_bound_accepted(self, tx, timesteps):
+        cfg = ExperimentConfig(tx_per_step=tx, timesteps=timesteps)
+        assert cfg.tx_per_step * cfg.timesteps == MAX_EVIDENCE_TOTAL
 
 
 class TestMakeReport:
@@ -460,7 +472,7 @@ class TestHistoryErrors:
         info = simulation._grid_errors.cache_info()
         assert info.hits == 3 * 5 and info.misses == len(calls) - info.hits
 
-    @pytest.mark.parametrize("tx", [7, 50, 1000, 10**5, 2**40])
+    @pytest.mark.parametrize("tx", [7, 50, 1000, 10**5, 10**9 // 60])
     @pytest.mark.parametrize("profile", [Periodic(), Damping(40), Probability(0.0),
                                          Probability(1.0)], ids=repr)
     def test_deterministic_profiles_draw_one_stream_at_every_seed(self, profile, tx):

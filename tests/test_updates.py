@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Tolerance, accuracy_average_integral
-from evitrust.core import Evidence, certainty, expected_quality
+from evitrust.core import MAX_EVIDENCE_TOTAL, Evidence, certainty, expected_quality
 from evitrust.propagation import aggregate
 from evitrust.simulation import ExperimentConfig
 from evitrust.updates import (
@@ -21,6 +22,9 @@ from evitrust.updates import (
     update_referrer,
 )
 from evitrust.updates import _peak_ratio
+
+# Finite non-negative counts, half of them drawn inside the evidence domain.
+_counts = st.floats(0.0, MAX_EVIDENCE_TOTAL) | st.floats(0.0, allow_infinity=False)
 
 
 class TestGeneralUpdate:
@@ -103,26 +107,24 @@ class TestPeakRatioNearOneSidedEvidence:
                                   Evidence(1e6, 1e-11), Evidence(0, 0))
             assert out.s == 0.0 and out.r == certainty(Evidence(1e6, 1e-11))
 
-    _COUNTS = [0.0, 5e-324, 1e-300, 1e-17, 1e-11, 1e-6, 0.5, 1.0, 3.0, 1e6, 1e15, 1e300, 1.7e308]
+    _COUNTS = [0.0, 5e-324, 1e-300, 1e-17, 1e-11, 1e-6, 0.5, 1.0, 3.0, 1e6, 5e8, 1e9]
     _POINTS = [(0.0, 1.0), (5e-324, 1.0), (1e-17, 1.0), (3.0, 7.0), (1.0, 1.0), (1.0, 2**-53),
                (1.0, 0.0)]
 
-    def test_no_finite_evidence_gives_nan(self):
-        """q lies in [0, 1] for every finite evidence and point, or, when the
-        total overflows, is a ValueError; from counts too."""
-        pairs = [(r, s) for r in self._COUNTS for s in self._COUNTS if r + s > 0]
-        for r, s in pairs:
+    def test_no_evidence_in_the_domain_gives_nan(self):
+        """q lies in [0, 1] for every evidence and point up to the bound,
+        from counts too; evidence past it is refused."""
+        pairs = [(r, s) for r in self._COUNTS for s in self._COUNTS if 0 < r + s]
+        inside = [(r, s) for r, s in pairs if r + s <= MAX_EVIDENCE_TOTAL]
+        for r, s in inside:
             e = Evidence(r, s)
-            qs = [lambda x=x: accuracy_max_certainty(e, Evidence(*x)) for x in self._POINTS]
-            qs += [lambda x=x: accuracy_sensitivity(Evidence(*x), e) for x in self._POINTS]
-            qs += [lambda rp=rp, sp=sp: _peak_ratio(r, s, rp, sp)
-                   for rp, sp in pairs if rp + sp < math.inf]
-            for q in qs:
-                if r + s == math.inf:
-                    with pytest.raises(ValueError, match="overflows"):
-                        q()
-                else:
-                    assert 0.0 <= q() <= 1.0, (r, s)
+            qs = [accuracy_max_certainty(e, Evidence(*x)) for x in self._POINTS]
+            qs += [accuracy_sensitivity(Evidence(*x), e) for x in self._POINTS]
+            qs += [_peak_ratio(r, s, rp, sp) for rp, sp in inside]
+            assert all(0.0 <= q <= 1.0 for q in qs), (r, s)
+        for r, s in set(pairs) - set(inside):
+            with pytest.raises(ValueError, match=r"must be at most 1e\+09"):
+                Evidence(r, s)
 
 
 class TestAccuracySensitivity:
@@ -157,18 +159,24 @@ class TestAccuracyAverage:
         want = 1.0 - math.sqrt(0.25 + 1.0 / 12.0)
         assert accuracy_average(1.0, Evidence(0, 0)) == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("r", [1e100, 1e155, 1e300, 1.7e308])
-    def test_huge_report_scores_its_mean(self, r):
-        # The mean, within 1/n of r/(r + s); the variance is below 1e-100.
-        assert accuracy_average(0.5, Evidence(r, r)) == 1.0
-        assert accuracy_average(0.25, Evidence(r / 3, r)) == 1.0
-        assert accuracy_average(1.0, Evidence(r, r)) == 0.5
+    @pytest.mark.parametrize("alpha,r,s", [(0.5, 5e8, 5e8), (0.25, 2.5e8, 7.5e8),
+                                           (1.0, 5e8, 5e8), (0.0, 0.0, 1e9), (0.9, 1e9, 0.0)])
+    def test_report_at_the_bound_scores_its_mean_and_variance(self, alpha, r, s):
+        # Exactly: n = r′+s′+2, m = (r′+1)/n, v = (r′+1)(s′+1)/(n²(n+1)).
+        n = Fraction(r) + Fraction(s) + 2
+        m = (Fraction(r) + 1) / n
+        v = (Fraction(r) + 1) * (Fraction(s) + 1) / (n * n * (n + 1))
+        want = 1.0 - math.sqrt((Fraction(alpha) - m) ** 2 + v)
+        assert accuracy_average(alpha, Evidence(r, s)) == pytest.approx(want, rel=1e-15)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.floats(0.0, 1.0), st.floats(0.0, allow_infinity=False),
-           st.floats(0.0, allow_infinity=False))
-    def test_every_finite_report_has_an_accuracy(self, alpha, r, s):
-        assert 0.0 <= accuracy_average(alpha, Evidence(r, s)) <= 1.0
+    @given(st.floats(0.0, 1.0), _counts, _counts)
+    def test_every_report_in_the_domain_has_an_accuracy(self, alpha, r, s):
+        if r + s > MAX_EVIDENCE_TOTAL:
+            with pytest.raises(ValueError, match=r"must be at most 1e\+09"):
+                Evidence(r, s)
+        else:
+            assert 0.0 <= accuracy_average(alpha, Evidence(r, s)) <= 1.0
 
 
 class TestAccuracyAverageIntegralOracle:
