@@ -232,8 +232,11 @@ def synthesize_feedback(
     Probability(0.9)); the rating is 1 + Binomial(4, X_t), so mostly-good
     sellers earn mostly 4s and 5s with occasional slumps.  Each seller has
     its own stream: :func:`~evitrust.simulation.behavior_sequence` draws its
-    X_t, then one ``binomial`` call draws its ratings.  ``seed`` must fit in
-    64 unsigned bits, as in :class:`~evitrust.simulation.ExperimentConfig`.
+    X_t, then one ``binomial`` call draws its ratings.  The streams are the
+    experiments' own (see :mod:`evitrust.simulation`), numpy's PCG64 draws
+    in pure Python; n = 4 never reaches numpy's BTPE branch, so numpy is
+    not imported.  ``seed`` must fit in 64 unsigned bits, as in
+    :class:`~evitrust.simulation.ExperimentConfig`.
     """
     for name, count in (("sellers", sellers), ("feedbacks_per_seller", feedbacks_per_seller)):
         if count < 0:

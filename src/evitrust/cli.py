@@ -53,6 +53,7 @@ from .simulation import (
 from .updates import (
     UpdateConfig,
     UpdateMethod,
+    _check_update_inputs,
     accuracy_average,
     accuracy_linear,
     accuracy_max_certainty,
@@ -369,8 +370,16 @@ def _cmd_accuracy(args) -> str:
 
 def _cmd_update(args) -> str:
     cfg = UpdateConfig(method=args.method, beta=args.beta)
-    updated = update_referrer(cfg, Evidence(*args.observed), Evidence(*args.report),
-                              Evidence(*args.prior))
+    observed, report, prior = (Evidence(*args.observed), Evidence(*args.report),
+                               Evidence(*args.prior))
+    _check_update_inputs(cfg.method, observed, report)
+    try:
+        updated = update_referrer(cfg, observed, report, prior)
+    except ValueError as exc:
+        # The inputs are checked, so only the updated trust can be refused:
+        # it adds at most one to (1 − β) times the prior's total.
+        raise ValueError(f"the updated trust would leave the evidence domain ({exc}); "
+                         f"lower the total of --prior") from None
     return json.dumps(updated.to_dict()) + "\n"
 
 

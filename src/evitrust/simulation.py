@@ -20,15 +20,20 @@ Damping, and Probability with p of 0 or 1) draw the same observations at
 every seed.  Every history run goes through the history method's fold,
 ``_fold`` in :mod:`evitrust.updates`.
 
-Determinism contract: every random draw comes from numpy PCG64 generators
-derived from the experiment seed with a fixed spawn layout (one independent
-stream per role), so a (config, seed) pair reproduces byte-identical output
-regardless of host or what else has run in the process.  Each stream is
-drawn in one numpy call: behavior values in one ``random`` or ``uniform``
-call (after the hidden X_0 of walk and momentum), transaction counts in one
-``binomial`` call.  Each call gives the values of one call per step and
-leaves the stream in the same state.  The drivers run on plain floats and
-build Evidence only for their records.
+Determinism contract: every random draw comes from a PCG64 stream derived
+from the experiment seed with a fixed spawn layout (one independent stream
+per role), so a (config, seed) pair reproduces byte-identical output
+regardless of host or what else has run in the process.  The streams draw
+bit for bit as numpy's ``Generator(PCG64(SeedSequence(seed).spawn(n)[i]))``
+would, in pure Python: numpy's seeding, ``random``, ``uniform`` and the
+inversion branch of ``binomial``.  Only a ``binomial`` call that reaches
+numpy's BTPE branch (n·min(p, 1−p) > 30: ``tx_per_step`` above 60 at an X_t
+inside (0, 1)) imports numpy, which draws it from the stream's state.  Each
+stream is drawn in one call: behavior values in one ``random`` or
+``uniform`` call (after the hidden X_0 of walk and momentum), transaction
+counts in one ``binomial`` call.  Each call gives the values of one call per
+step and leaves the stream in the same state.  The drivers run on plain
+floats and build Evidence only for their records.
 
 Behavior profiles (per-step quality X_t in [0, 1]):
 
@@ -52,19 +57,18 @@ import functools
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, List, Optional, Sequence, Tuple, Union, get_args
-
-import numpy as np
-# numpy loads numpy.random lazily on first use; import it here, with the
-# package, so that the first draw does not pay for the import.
-import numpy.random
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union, get_args
 
 from .core import MAX_EVIDENCE_TOTAL, Evidence, _belief, _quality, certainty, expected_quality
 from .propagation import _combine, aggregate
 from .updates import _NO_HISTORY, UpdateConfig, _fold, _update
+
+if TYPE_CHECKING:
+    import numpy.random
 
 __all__ = [
     "Probability",
@@ -152,7 +156,7 @@ BehaviorProfile = Union[Probability, Periodic, Damping, Random, RandomWalk, Mome
 
 def behavior_sequence(
     profile: BehaviorProfile,
-    rng: np.random.Generator,
+    rng: _Stream | numpy.random.Generator,
     timesteps: int,
 ) -> List[float]:
     """X_1 .. X_T of a provider following ``profile``, T = ``timesteps``.
@@ -163,7 +167,8 @@ def behavior_sequence(
     ``uniform(-1, 1, n)`` call, and clamp each X_t to [0, 1] (X_t is a
     probability).  The walk takes n = T steps.  Momentum emits X_1 = X_0, so
     that its two-step lookback is defined from t = 2 on, and takes
-    n = max(T − 1, 0).
+    n = max(T − 1, 0).  ``rng`` is a driver's stream or a numpy Generator,
+    which draws the same values from the same state.
     """
     if timesteps < 0:
         raise ValueError(f"timesteps must be >= 0, got {timesteps}")
@@ -195,11 +200,12 @@ _MAX_SEED = 2**64 - 1
 
 
 def _transactions(
-    xs: Sequence[float], n: int, rng: np.random.Generator
+    xs: Sequence[float], n: int, rng: _Stream | numpy.random.Generator
 ) -> List[Tuple[float, float]]:
     """Outcome counts (k, n−k) of n transactions at each quality in ``xs``,
     from one ``binomial`` call: the same counts, and the same stream state
-    after, as one call per quality."""
+    after, as one call per quality.  ``rng`` is a driver's stream or a numpy
+    Generator, as in :func:`behavior_sequence`."""
     return [(float(k), float(n - k)) for k in rng.binomial(n, xs).tolist()]
 
 
@@ -407,10 +413,179 @@ def prediction_error(series: Sequence[TimestepRecord]) -> float:
     return total / len(series)
 
 
-def _streams(seed: int, n: int) -> List[np.random.Generator]:
-    """n independent generators with a fixed spawn layout under one seed."""
-    root = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(n)]
+# PCG64 is PCG XSL-RR 128/64 (O'Neill 2014): a 128-bit LCG with this
+# multiplier, whose state is folded to 64 bits and rotated by its top 6 bits.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK53, _MASK64, _MASK128 = 2**32 - 1, 2**53 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _double(state: int) -> float:
+    """numpy's ``next_double`` at a PCG64 state: the top 53 bits of the
+    64-bit output, scaled to [0, 1)."""
+    x = (state >> 64 ^ state) & _MASK64
+    # x rotated right by the state's top 6 bits, less its low 11 bits.
+    return ((x << 64 | x) >> (state >> 122) + 11 & _MASK53) * 2.0**-53
+
+
+def _advance(state: int, inc: int, k: int) -> int:
+    """The PCG64 state k steps on: Aᵏ·state + inc·(Aᵏ − 1)/(A − 1) mod 2¹²⁸.
+
+    Aᵏ is taken mod (A − 1)·2¹²⁸, which leaves it right mod 2¹²⁸ and lets
+    the geometric sum be divided exactly."""
+    a_k = pow(_PCG_MULT, k, (_PCG_MULT - 1) << 128)
+    return (a_k * state + inc * ((a_k - 1) // (_PCG_MULT - 1))) & _MASK128
+
+
+def _inversion(n: int, p: float) -> Tuple[bool, float, float, float, int]:
+    """The constants of numpy's inversion draw of Binomial(n, p), 0 < p < 1
+    with n·min(p, 1−p) ≤ 30: whether it draws n − X at 1 − p, that p, its
+    q = 1 − p, qⁿ, and the bound on X past which it draws again."""
+    flip = p > 0.5
+    if flip:
+        p = 1.0 - p
+    q, mean = 1.0 - p, n * p
+    # numpy takes qⁿ through log1p(−p); exp(n·log q) differs in the last bits.
+    return (flip, p, q, math.exp(n * math.log1p(-p)),
+            int(min(n, mean + 10.0 * math.sqrt(mean * q + 1))))
+
+
+class _Stream:
+    """One seeded PCG64 stream, drawn bit for bit as numpy's
+    ``Generator(PCG64(...))`` draws it, with the three methods the drivers
+    call: ``random``, ``uniform`` and ``binomial``.
+
+    A batch comes back as an ``array.array``, whose ``tolist()`` gives the
+    Python numbers as a numpy array's does, so the drivers also take a numpy
+    Generator.  ``binomial`` is numpy's inversion branch; a batch that
+    reaches numpy's BTPE branch is drawn by numpy itself from this stream's
+    state.
+    """
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, state: int, inc: int):
+        self.state, self.inc = state, inc
+
+    def random(self, n: Optional[int] = None):
+        """One U[0, 1) float, or an array of n."""
+        state, inc, out = self.state, self.inc, array("d")
+        for _ in range(1 if n is None else n):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            out.append(_double(state))
+        self.state = state
+        return out[0] if n is None else out
+
+    def uniform(self, lo: float, hi: float, n: int) -> array:
+        """n U[lo, hi) floats, lo + (hi − lo)·u as numpy computes them."""
+        span = hi - lo
+        return array("d", [lo + span * u for u in self.random(n)])
+
+    def binomial(self, n: int, ps):
+        """A Binomial(n, p) count for each p of ``ps``, or one for a float p.
+
+        As numpy's: n = 0 and p = 0 draw nothing, and every other p one
+        uniform per try of the inversion; at p = 1 (qⁿ = 1) the first try
+        gives X = 0, so a batch of only 0s and 1s just advances the stream.
+        """
+        if isinstance(ps, float):
+            return self.binomial(n, [ps])[0]
+        kinds = set(ps)
+        if any(n * min(p, 1.0 - p) > 30.0 for p in kinds):
+            return self._numpy_binomial(n, ps)
+        if n == 0 or kinds <= {0.0, 1.0}:
+            self.state = _advance(self.state, self.inc, ps.count(1.0) if n else 0)
+            return array("q", [n if p else 0 for p in ps])
+        consts = {p: _inversion(n, p) for p in kinds if p}
+        state, inc, ks = self.state, self.inc, array("q")
+        for p in ps:
+            if not p:
+                ks.append(0)
+                continue
+            flip, p_inv, q, qn, bound = consts[p]
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x, u, px = 0, _double(state), qn
+            while u > px:
+                x += 1
+                if x > bound:
+                    state = (state * _PCG_MULT + inc) & _MASK128
+                    x, u, px = 0, _double(state), qn
+                else:
+                    u -= px
+                    px = (n - x + 1) * p_inv * px / (x * q)
+            ks.append(n - x if flip else x)
+        self.state = state
+        return ks
+
+    def _numpy_binomial(self, n: int, ps):
+        """numpy's ``binomial(n, ps)`` from this stream's state, which it
+        advances: the BTPE branch (n·min(p, 1−p) > 30) is numpy's alone."""
+        import numpy.random
+
+        bits = numpy.random.PCG64()
+        bits.state = {**bits.state, "state": {"state": self.state, "inc": self.inc}}
+        ks = numpy.random.Generator(bits).binomial(n, ps)
+        self.state = bits.state["state"]["state"]
+        return ks
+
+
+# numpy's SeedSequence hash constants, after O'Neill's seed_seq_fe.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(v: int) -> List[int]:
+    """The little-endian 32-bit words of v ≥ 0, one zero word for 0."""
+    return [v >> shift & _MASK32 for shift in range(0, max(v.bit_length(), 1), 32)]
+
+
+def _streams(seed: int, n: int) -> List[_Stream]:
+    """n independent streams with a fixed spawn layout under one seed.
+
+    Stream i is numpy's ``Generator(PCG64(SeedSequence(seed).spawn(n)[i]))``
+    bit for bit.  Child i's entropy is the seed's words, zero-padded to the
+    pool's four, then i's words: the pool hashed from the seed is shared, and
+    each child mixes in its index and draws its PCG64 seed from the pool.
+    """
+    h = _INIT_A
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * _MULT_A & _MASK32
+        v = v * h & _MASK32
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        v = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return v ^ v >> 16
+
+    words = _words(seed)
+    seed_pool = [hashmix(w) for w in words + [0] * (4 - len(words))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                seed_pool[dst] = mix(seed_pool[dst], hashmix(seed_pool[src]))
+    seed_h, streams = h, []
+    for child in range(n):
+        h, pool = seed_h, seed_pool[:]
+        for w in _words(child):
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        # SeedSequence.generate_state(4, uint64): eight words off the pool.
+        state_words, hb = [], _INIT_B
+        for k in range(8):
+            v = pool[k % 4] ^ hb
+            hb = hb * _MULT_B & _MASK32
+            v = v * hb & _MASK32
+            state_words.append(v ^ v >> 16)
+        s_hi, s_lo, i_hi, i_lo = (state_words[k] | state_words[k + 1] << 32
+                                  for k in range(0, 8, 2))
+        # PCG64's seeding: inc from the second pair of 64-bit words; the
+        # state steps from 0, takes the first pair, and steps again.
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        streams.append(_Stream(state, inc))
+    return streams
 
 
 # --------------------------------------------------------------------------
@@ -418,7 +593,7 @@ def _streams(seed: int, n: int) -> List[np.random.Generator]:
 # --------------------------------------------------------------------------
 
 
-def _provider_draws(config: ExperimentConfig, n: int, rng: np.random.Generator) -> List[Evidence]:
+def _provider_draws(config: ExperimentConfig, n: int, rng: _Stream) -> List[Evidence]:
     """A batch of n transactions with the fixed provider at every step."""
     draws = _transactions([_PROVIDER_QUALITY] * config.timesteps, n, rng)
     return [Evidence(k, m) for k, m in draws]
@@ -427,7 +602,7 @@ def _provider_draws(config: ExperimentConfig, n: int, rng: np.random.Generator) 
 def _track_referrers(
     config: ExperimentConfig,
     reports: Sequence[Sequence[Evidence]],
-    rng_client: np.random.Generator,
+    rng_client: _Stream,
 ) -> Tuple[List[TimestepRecord], List[Tuple[Tuple[float, float], ...]]]:
     """The referrer loop behind both referrer experiments.
 

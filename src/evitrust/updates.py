@@ -236,14 +236,18 @@ def update_referrer(
     Josang, MaxCertainty, and Sensitivity methods additionally require a
     non-empty report.
     """
+    _check_update_inputs(config.method, observed, report)
+    return Evidence(*_update(config.method, config.beta, observed.r, observed.s,
+                             report.r, report.s, prior.r, prior.s))
+
+
+def _check_update_inputs(method: UpdateMethod, observed: Evidence, report: Evidence) -> None:
+    """:func:`update_referrer`'s checks of its observation and report."""
     if observed.total <= 0:
         raise ValueError("update_referrer requires an observation with positive total")
-    method = config.method
     if report.total <= 0 and method in (UpdateMethod.JOSANG, UpdateMethod.MAX_CERTAINTY,
                                         UpdateMethod.SENSITIVITY):
         raise ValueError(f"{method.value} requires a report with positive total")
-    return Evidence(*_update(method, config.beta, observed.r, observed.s, report.r, report.s,
-                             prior.r, prior.s))
 
 
 def _update(

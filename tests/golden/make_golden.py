@@ -3,8 +3,10 @@
 Each case runs ``evitrust.cli.cli_main`` in-process.  The manifest records,
 per case, its argv, exit code, the sha256 of its stdout and the first line of
 its stderr; the cases in ``FULL`` also keep their whole stdout, so that a
-failure names the first row that moved.  The numpy version is recorded too,
-since the seeded draws are numpy's algorithms.
+failure names the first row that moved.  The numpy version is recorded too:
+the seeded draws are numpy's algorithms, in pure Python, except a binomial
+call in numpy's BTPE branch, which numpy itself draws (``test_golden.py``
+counts those calls).
 
 Run from the repository root to regenerate (only when an output is meant to
 change):

@@ -174,6 +174,16 @@ class TestUpdateCommand:
         assert "non-negative" in err
         assert out == ""
 
+    def test_updated_trust_past_the_bound_names_the_prior(self, capsys):
+        """Every input is in the evidence domain but the updated trust is not:
+        the message says so and names --prior."""
+        code, out, err = run(capsys, "update", "--method", "LinearWS", "--beta", "0",
+                             "--prior", "1e9,0", "--observed", "1,0", "--report", "1,0")
+        assert (code, out) == (2, "")
+        assert err == ("error: the updated trust would leave the evidence domain (evidence total "
+                       "r + s must be at most 1e+09, got r=1000000000.25, s=0.0); lower the "
+                       "total of --prior\n")
+
     @pytest.mark.parametrize("argv", [
         ["update", "--observed", "2,1", "--report", "5,5"],
         ["simulate", "--experiment", "referrer", "--timesteps", "4"],

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import re
@@ -467,12 +466,8 @@ _WORK_BUDGETS = {
     "sweep": ("sweep --experiment history --profiles probability:0.9,periodic "
               "--beta-grid 0:1:0.05 --seeds 5", (0, 0, 0, 0, 0)),
 }
-_GOLDEN_NUMPY = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "manifest.json").read_text("utf-8"))["numpy"]
 
 
-@pytest.mark.skipif(np.__version__ != _GOLDEN_NUMPY,
-                    reason=f"counted under numpy {_GOLDEN_NUMPY}, as the goldens were made")
 @pytest.mark.parametrize("run", list(_WORK_BUDGETS))
 def test_work_budget(monkeypatch, tmp_path, run):
     """The kernel work of a run is exact: a change that moves it says so.
@@ -662,6 +657,37 @@ def test_cli_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, evitrust.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+_BENCHMARK_RUNS = """
+import sys
+import evitrust.cli
+from evitrust.amazon import synthesize_feedback
+assert "numpy" not in sys.modules, "import evitrust.cli loaded numpy"
+tmp = sys.argv[1]
+with open(tmp + "/feedback.csv", "w", encoding="utf-8") as fh:
+    fh.write("seller_id,t,rating\\n")
+    fh.writelines(f"{r.seller_id},{r.t},{r.rating}\\n" for r in synthesize_feedback(2, 1000))
+for argv in (
+    "simulate --experiment combine --timesteps 300 --switch 150 --tx 50".split(),
+    "sweep --experiment history --profiles probability:0.9,periodic --beta-grid 0:1:0.05 "
+    "--seeds 5 --seed 0".split(),
+    ["amazon", "--input", tmp + "/feedback.csv"],
+):
+    assert evitrust.cli.cli_main(argv + ["--out", tmp + "/out"]) == 0, argv
+    assert "numpy.random" not in sys.modules, f"{argv} loaded numpy.random"
+"""
+
+
+def test_benchmark_commands_leave_numpy_random_out(tmp_path):
+    """Only a binomial draw in numpy's BTPE branch imports numpy: the CLI
+    loads no numpy, and the benchmark's three commands, with the synthesized
+    feedback of the amazon one, load no numpy.random."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evitrust.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _BENCHMARK_RUNS, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestIntegrate:

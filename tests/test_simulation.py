@@ -175,6 +175,70 @@ class TestSampleTransactions:
         assert cfg.tx_per_step * cfg.timesteps == MAX_EVIDENCE_TOTAL
 
 
+def _numpy_streams(seed, n):
+    return [np.random.Generator(np.random.PCG64(child))
+            for child in np.random.SeedSequence(seed).spawn(n)]
+
+
+def _numpy_at(state, inc):
+    """A numpy Generator whose PCG64 is at (state, inc)."""
+    bits = np.random.PCG64()
+    bits.state = {**bits.state, "state": {"state": state, "inc": inc}}
+    return np.random.Generator(bits)
+
+
+class TestStream:
+    """The drivers' streams draw bit for bit as numpy's generators: each
+    call gives numpy's values, and the next draw shows that it leaves the
+    stream where numpy leaves it."""
+
+    PS = [0.0, 1e-12, 0.01, 0.1, 0.3, 0.37, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-12, 1.0]
+
+    @staticmethod
+    def _same(ours, theirs, method, *args):
+        got, want = getattr(ours, method)(*args), getattr(theirs, method)(*args)
+        if isinstance(want, np.ndarray):
+            got, want = got.tolist(), want.tolist()
+        assert got == want, (method, args)
+        assert ours.random() == theirs.random(), (method, args)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_every_call_draws_as_numpy(self, seed, n):
+        streams = simulation._streams(seed, n)
+        assert len(streams) == n
+        for ours, theirs in zip(streams, _numpy_streams(seed, n)):
+            self._same(ours, theirs, "random")
+            self._same(ours, theirs, "random", 9)
+            self._same(ours, theirs, "uniform", -1.0, 1.0, 9)
+            for tx in (0, 1, 4, 7, 50, 60):
+                self._same(ours, theirs, "binomial", tx, self.PS)
+                self._same(ours, theirs, "binomial", tx, self.PS[::-1] * 3)
+                self._same(ours, theirs, "binomial", tx, [1.0, 0.0, 1.0, 1.0])
+                self._same(ours, theirs, "binomial", tx, 0.37)
+
+    def test_inversion_draws_again_past_its_bound(self):
+        """At a uniform of 1 − 2⁻⁵³ the summed probabilities round below it,
+        X passes its bound, and numpy's inversion restarts on a fresh draw."""
+        inc = 2 * 12345 + 1
+        # The state one step before 2⁶⁴ − 1, whose output is all ones.
+        state = (2**64 - 1 - inc) * pow(simulation._PCG_MULT, -1, 2**128) % 2**128
+        for tx, p in [(1, 0.001), (1, 0.5), (7, 0.3), (60, 0.5), (50, 0.999)]:
+            ours, theirs = simulation._Stream(state, inc), _numpy_at(state, inc)
+            assert ours.random() == theirs.random() == 1.0 - 2.0**-53
+            ours, theirs = simulation._Stream(state, inc), _numpy_at(state, inc)
+            self._same(ours, theirs, "binomial", tx, [p, p])
+
+    @pytest.mark.parametrize("tx,ps", [(1000, [0.5]), (1000, 0.5),
+                                       (100, [0.1, 0.0, 0.5, 1.0, 0.9, 0.99])])
+    def test_btpe_hands_the_batch_to_numpy(self, tx, ps):
+        ours, theirs = simulation._streams(7, 1)[0], _numpy_streams(7, 1)[0]
+        for _ in range(3):
+            self._same(ours, theirs, "binomial", tx, ps)
+        self._same(ours, theirs, "uniform", -1.0, 1.0, 5)
+        self._same(ours, theirs, "binomial", 50, self.PS)
+
+
 class TestMakeReport:
     def test_truthful_and_honest_pass_through(self):
         e = Evidence(4, 1)
@@ -476,14 +540,14 @@ class TestHistoryErrors:
     @pytest.mark.parametrize("profile", [Periodic(), Damping(40), Probability(0.0),
                                          Probability(1.0)], ids=repr)
     def test_deterministic_profiles_draw_one_stream_at_every_seed(self, profile, tx):
-        """X_t is 0 or 1, and numpy's binomial(n, 0) and binomial(n, 1) are 0
-        and n in both of its branches, so every seed observes the same stream.
-        If numpy stops doing so, history_errors stays right but folds every
-        seed."""
+        """X_t is 0 or 1, and binomial(n, 0) and binomial(n, 1) are 0 and n
+        whatever the stream's state, so every seed observes the same stream.
+        If the streams' binomial stops doing so, history_errors stays right
+        but folds every seed."""
         cfg = ExperimentConfig(timesteps=60, tx_per_step=tx)
         streams = {tuple(simulation._history_observations(replace(cfg, seed=s), profile))
                    for s in range(6)}
-        assert len(streams) == 1, f"numpy {np.__version__} draws {profile!r} apart by seed"
+        assert len(streams) == 1, f"the streams' binomial draws {profile!r} apart by seed"
 
 
 class TestCertaintyPred:
